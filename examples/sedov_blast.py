@@ -6,15 +6,18 @@ Runs the paper's primary benchmark (Section 4) at configurable order
 and resolution, tracking the shock front against the analytic
 R(t) = (E t^2 / (alpha rho0))^(1/5) and reporting conservation,
 time-step history and the workload profile the hardware models consume.
-The first segment goes through `repro.api.run`; the returned
-`RunReport.solver` then marches the remaining checkpoints.
+The hardware models price the paper's momentum PCG, so the march runs
+with `PCGMomentumSolver` swapped in for the serial direct solve and
+reports the real iteration counts.
 """
 
 import argparse
 
 import numpy as np
 
-from repro.api import RunConfig, run
+from repro.api import RunConfig, make_problem
+from repro.hydro.momentum import PCGMomentumSolver
+from repro.hydro.solver import LagrangianHydroSolver
 
 
 def shock_front_radius(solver) -> float:
@@ -35,21 +38,19 @@ def main() -> None:
 
     times = np.linspace(0, args.t_final, args.checkpoints + 1)[1:]
 
-    # First segment through the facade; the report keeps the live solver
-    # so the remaining checkpoints continue from where it stopped.
-    report = run("sedov", RunConfig(dim=3, order=args.order, zones=args.zones,
-                                    t_final=float(times[0]), cfl=0.5))
-    problem, solver = report.problem, report.solver
+    cfg = RunConfig(dim=3, order=args.order, zones=args.zones, cfl=0.5)
+    problem = make_problem("sedov", cfg)
+    solver = LagrangianHydroSolver(problem, cfg)
+    solver.install_momentum(PCGMomentumSolver(solver.mass_v, solver.bc))
     print(f"3D Sedov, Q{args.order}-Q{args.order - 1}, "
           f"{problem.mesh.nzones} zones, {solver.quad.nqp} qp/zone")
 
-    e_init_total = report.result.energy_history[0].total
+    e_init_total = solver.energies().total
     print(f"\n{'t':>8} {'steps':>6} {'R_shock':>8} {'R_analytic':>10} "
           f"{'rho_max':>8} {'E_total':>14}")
-    total_steps = report.steps
-    for i, t_stop in enumerate(times):
-        if i > 0:
-            total_steps += solver.run(t_final=float(t_stop)).steps
+    total_steps = 0
+    for t_stop in times:
+        total_steps += solver.run(t_final=float(t_stop)).steps
         e = solver.energies()
         print(f"{solver.state.t:8.4f} {total_steps:6d} "
               f"{shock_front_radius(solver):8.4f} "
@@ -62,6 +63,7 @@ def main() -> None:
           f"({w.pcg_iters_per_solve:.1f}/solve)")
     drift = solver.energies().total - e_init_total
     print(f"final |E - E0| / E0 = {abs(drift) / e_init_total:.2e}")
+    solver.close()
 
 
 if __name__ == "__main__":

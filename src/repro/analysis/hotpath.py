@@ -42,11 +42,12 @@ TELEMETRY_OVERHEAD_LIMIT = 0.03
 SCHEDULER_OVERHEAD_LIMIT = 0.05
 
 #: A ranks=2 cpu-fused step must stay within this factor of the serial
-#: cpu-fused step. The vectorized rank path legitimately pays ~2.2-2.7x
-#: here (interface/interior split evaluation, per-rank scatter
-#: accounting, and the interface rows of the mass matvec re-derived
-#: per PCG iteration); the gate catches the composition layer growing
-#: superlinear overhead, not the modeled comm.
+#: cpu-fused step with the same (PCG) momentum solve. The vectorized
+#: rank path legitimately pays ~2.2-2.7x here (interface/interior
+#: split evaluation, per-rank scatter accounting, and the interface
+#: rows of the mass matvec re-derived per PCG iteration); the gate
+#: catches the composition layer growing superlinear overhead, not the
+#: modeled comm.
 DISTRIBUTED_OVERHEAD_LIMIT = 3.5
 
 #: Steady-state per-call overhead of the warm persistent worker pool at
@@ -379,15 +380,20 @@ def bench_distributed_overhead(
     scatters per-rank partial sums, and re-derives the interface rows
     of the mass matvec every PCG iteration, so a bounded constant
     factor is expected — a blowout means the composition layer
-    regressed.
+    regressed. Ranks solve momentum by PCG, so the serial side does
+    too (`PCGMomentumSolver` swapped in): the factor prices the
+    composition layer, not the serial run's direct solve.
     """
     from repro.config import RunConfig
+    from repro.hydro.momentum import PCGMomentumSolver
     from repro.hydro.solver import LagrangianHydroSolver
     from repro.problems import SedovProblem
 
     def once(ranks: int) -> float:
         problem = SedovProblem(dim=2, order=order, zones_per_dim=zones_per_dim)
         solver = LagrangianHydroSolver(problem, RunConfig(ranks=ranks))
+        if ranks == 0:
+            solver.install_momentum(PCGMomentumSolver(solver.mass_v, solver.bc))
         t0 = time.perf_counter()
         solver.run(max_steps=steps)
         elapsed = time.perf_counter() - t0
@@ -425,7 +431,7 @@ def bench_dispatch_overhead(order: int = 2, nz1d: int = 10, reps: int = 20) -> d
     scheduler luck, while the fabric itself is tens of microseconds and
     times stably. Per-evaluation is strictly conservative versus the
     acceptance criterion's per-step form: a step dispatches twice but
-    also pays 2*dim PCG solves on top of the two evaluations. The
+    also pays 2*dim momentum solves on top of the two evaluations. The
     end-to-end workers=1 comparison (bitwise-equal results by the
     single-span contract) is recorded alongside as the unguarded
     trajectory number.

@@ -19,7 +19,9 @@ how the mass operator is applied:
   `CommLedger` exposed/hidden split moves.
 - time step: rank-local minima combined through `iallreduce_min`.
 - momentum PCG: the mass matrix applies as the group-sum of rank-local
-  operators (`DistributedMomentumSolver`).
+  operators (`DistributedMomentumSolver`). Ranks keep Jacobi-PCG while
+  the serial run solves directly: each iteration's group sum is the
+  reduction the `CommLedger` prices for the paper's distributed CG.
 
 Resilience routes through the same object (`exclude_rank` rebuilds the
 partition; `swap_node` replaces one rank's node backend after a sticky
@@ -60,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hydro.corner_force import ForceResult
-from repro.hydro.momentum import MomentumSolver
+from repro.hydro.momentum import PCGMomentumSolver
 from repro.linalg.csr import CSRMatrix
 from repro.runtime.groups import (
     DofGroups,
@@ -143,7 +145,7 @@ class _VecPlan:
     mass_blocks: np.ndarray  # (n_ifz, ndz, ndz) interface-zone mass blocks
 
 
-class VectorizedDistributedMomentumSolver(MomentumSolver):
+class VectorizedDistributedMomentumSolver(PCGMomentumSolver):
     """Momentum PCG for the vectorized rank-stepping mode.
 
     The operator applies the *global* mass matrix once (exact at private
@@ -178,11 +180,11 @@ class VectorizedDistributedMomentumSolver(MomentumSolver):
         return y
 
 
-class DistributedMomentumSolver(MomentumSolver):
+class DistributedMomentumSolver(PCGMomentumSolver):
     """Momentum PCG whose operator is the sum of rank-local matrices.
 
-    Same preconditioner, tolerances and eliminated-BC handling as the
-    serial `MomentumSolver`; only `matvec` changes — every application
+    Same preconditioner, tolerances and eliminated-BC handling as
+    `PCGMomentumSolver`; only `matvec` changes — every application
     is a group sum over the ranks' local mass shares, priced and
     accounted by the communicator.
     """
@@ -303,7 +305,7 @@ class DistributedBackend:
         self.groups: DofGroups | None = None
         self.zone_rank: np.ndarray | None = None
         self.ranks: list[_RankData] = []
-        self.momentum: "MomentumSolver | None" = None
+        self.momentum: "PCGMomentumSolver | None" = None
         self._iface_dofs: np.ndarray | None = None
         self._vectorized = False
         self._vec_plan: _VecPlan | None = None
@@ -384,8 +386,7 @@ class DistributedBackend:
                 tol=solver.options.pcg_tol,
                 maxiter=solver.options.pcg_maxiter,
             )
-        solver.momentum = self.momentum
-        solver.integrator.momentum = self.momentum
+        solver.install_momentum(self.momentum)
 
     def _build_partition(self, solver) -> None:
         """(Re)build everything derived from the zone -> rank map."""

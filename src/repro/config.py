@@ -70,7 +70,9 @@ class RunConfig:
 
     Run control: `t_final` / `max_steps` / `cfl` / `integrator` /
     `quad_points_1d` / `pcg_tol` / `pcg_maxiter` / `energy_every` /
-    `record_dt_history` mirror the solver knobs.
+    `record_dt_history` mirror the solver knobs. `pcg_tol` and
+    `pcg_maxiter` apply to the ranks' distributed PCG (`ranks` > 0);
+    the serial momentum solve is direct.
 
     Execution: `backend` is the unified policy selector — "cpu-serial"
     (legacy reference engine), "cpu-fused" (zero-allocation hot path,

@@ -79,7 +79,7 @@ class RK2AvgIntegrator:
             return self.force_fn(state)
 
     def _solve_momentum(self, rhs: np.ndarray) -> np.ndarray:
-        """Momentum PCG solve, metered under the "cg" phase."""
+        """Momentum solve, metered under the "cg" phase."""
         with self.timers.measure("cg"):
             return self.momentum.solve(rhs)
 

@@ -1,9 +1,17 @@
-"""Momentum solve: M_V dv/dt = -F . 1 with PCG per velocity component.
+"""Momentum solve: M_V dv/dt = -F . 1, one column per velocity component.
 
 The kinematic mass matrix is scalar (each velocity component sees the
-same matrix), so the momentum update is `dim` independent PCG solves
-with a shared Jacobi preconditioner — exactly the CPU (MFEM PCG) and
-GPU (kernel 9, CUDA-PCG) structure of the paper.
+same matrix) and constant in time, because Lagrangian mass is
+conserved. Two solvers share one interface:
+
+* `MomentumSolver`, the serial default, factors M_V once (on its first
+  solve) and answers every later RK stage with two triangular sweeps
+  over all components at once, plus a small per-component correction
+  that pins the constrained dofs.
+* `PCGMomentumSolver` runs `dim` independent Jacobi-PCG solves — the
+  CPU (MFEM PCG) and GPU (kernel 9, CUDA-PCG) structure of the paper.
+  The distributed solvers derive from it: their group-sum matvec is
+  what the communication ledger prices, one reduction per iteration.
 """
 
 from __future__ import annotations
@@ -13,15 +21,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hydro.boundary import BoundaryConditions
+from repro.linalg.banded import BandCholesky, band_layout
 from repro.linalg.csr import CSRMatrix
 from repro.linalg.pcg import pcg
 
-__all__ = ["MomentumSolver", "MomentumSolveInfo"]
+__all__ = ["MomentumSolver", "PCGMomentumSolver", "MomentumSolveInfo"]
+
+# Largest direct factor (band blocks + constraint corrections) worth
+# holding. Past it — wide bands of big 3D meshes, where the factor
+# grows as n * bandwidth — `MomentumSolver` iterates instead.
+FACTOR_BUDGET_BYTES = 64 << 20
 
 
 @dataclass
 class MomentumSolveInfo:
-    """Aggregate PCG statistics for one momentum solve (all components)."""
+    """Aggregate statistics for one momentum solve (all components).
+
+    A direct solve reports zero iterations and SpMVs.
+    """
 
     iterations: int
     spmv_count: int
@@ -29,8 +46,8 @@ class MomentumSolveInfo:
     converged: bool
 
 
-class MomentumSolver:
-    """PCG-based solver for the (constant) kinematic mass matrix."""
+class PCGMomentumSolver:
+    """Jacobi-PCG solver for the (constant) kinematic mass matrix."""
 
     def __init__(
         self,
@@ -61,14 +78,18 @@ class MomentumSolver:
         """
         return self.mass.matvec(x)
 
+    def _check_rhs(self, rhs: np.ndarray) -> np.ndarray:
+        rhs = np.asarray(rhs, dtype=np.float64)
+        if rhs.ndim != 2 or rhs.shape[0] != self.mass.nrows:
+            raise ValueError("rhs must be (ndof, dim)")
+        return rhs
+
     def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
         """Accelerations a with M a = rhs, constrained components zeroed.
 
         rhs : (ndof, dim). Returns (ndof, dim).
         """
-        rhs = np.asarray(rhs, dtype=np.float64)
-        if rhs.ndim != 2 or rhs.shape[0] != self.mass.nrows:
-            raise ValueError("rhs must be (ndof, dim)")
+        rhs = self._check_rhs(rhs)
         dim = rhs.shape[1]
         accel = np.zeros_like(rhs)
         iters = spmvs = flops = 0
@@ -87,4 +108,87 @@ class MomentumSolver:
             all_conv &= res.converged
         accel[self.bc.mask] = 0.0
         self.last_info = MomentumSolveInfo(iters, spmvs, flops, all_conv)
+        return accel
+
+
+class _DirectSolve:
+    """One band factor of the unconstrained M plus, per component d
+    with constrained dofs C (neither none nor all), the correction
+    G = W S^-1 with W = M^-1 P_C and S = P_C^T M^-1 P_C.
+
+    Then z = M^-1 rhs and x = z - G z_C is the solution with x_C = 0
+    and (M x)_i = rhs_i off C: the multiplier S^-1 z_C is the reaction
+    that holds the constrained dofs at zero. A component with every
+    dof constrained needs no correction — masking zeroes it.
+    """
+
+    def __init__(self, mass: CSRMatrix, bc: BoundaryConditions):
+        self.factor = BandCholesky(mass)
+        self.mask = bc.mask
+        n = mass.nrows
+        self.fixes: list[tuple[int, np.ndarray, np.ndarray]] = []
+        for d in range(bc.dim):
+            c = np.flatnonzero(bc.component_mask(d))
+            if not 0 < c.size < n:
+                continue
+            unit = np.zeros((n, c.size))
+            unit[c, np.arange(c.size)] = 1.0
+            w = self.factor.solve(unit)
+            self.fixes.append((d, c, w @ np.linalg.inv(w[c])))
+        self.flops = self.factor.solve_flops(bc.dim) + sum(
+            2 * g.size for _, _, g in self.fixes
+        )
+
+    @staticmethod
+    def nbytes(mass: CSRMatrix, bc: BoundaryConditions) -> int:
+        """Storage the factor and corrections would take, before building."""
+        n = mass.nrows
+        nb, bs = band_layout(mass)
+        counts = bc.mask.sum(axis=0)
+        corrections = int(counts[(counts > 0) & (counts < n)].sum()) * n
+        return 8 * ((2 * nb - 1) * bs * bs + corrections)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        z = self.factor.solve(np.where(self.mask, 0.0, rhs))
+        for d, c, g in self.fixes:
+            z[:, d] -= g @ z[c, d]
+        z[self.mask] = 0.0
+        return z
+
+
+class MomentumSolver(PCGMomentumSolver):
+    """Factor-once direct solver for the serial run.
+
+    The factor is built on the first `solve`, not at construction, so
+    set-up stays cheap for runs that never step; it then lives as long
+    as this object (through `reset()`, the service warm pool and
+    backend swaps that keep the solver). The solve falls back to PCG,
+    and only then uses `tol` and `maxiter`, when the factor would exceed
+    `FACTOR_BUDGET_BYTES` or M is not numerically positive definite (a
+    quadrature rule too coarse for the order makes it singular).
+    """
+
+    def __init__(self, mass, bc, tol=1e-14, maxiter=None):
+        super().__init__(mass, bc, tol=tol, maxiter=maxiter)
+        # None until the first solve; False when it falls back to PCG.
+        self._direct: _DirectSolve | bool | None = None
+
+    def solve(self, rhs: np.ndarray, x0: np.ndarray | None = None) -> np.ndarray:
+        """Accelerations a with M a = rhs, constrained components zeroed.
+
+        rhs : (ndof, dim). Returns (ndof, dim). `x0` is used only by
+        the PCG fallback.
+        """
+        rhs = self._check_rhs(rhs)
+        if self._direct is None:
+            self._direct = False
+            if _DirectSolve.nbytes(self.mass, self.bc) <= FACTOR_BUDGET_BYTES:
+                try:
+                    self._direct = _DirectSolve(self.mass, self.bc)
+                except np.linalg.LinAlgError:
+                    pass  # not numerically SPD (e.g. under-integrated): iterate
+        if self._direct is False:
+            return super().solve(rhs, x0)
+        accel = self._direct.solve(rhs)
+        self.last_info = MomentumSolveInfo(0, 0, self._direct.flops, True)
         return accel

@@ -82,7 +82,8 @@ class SolverOptions:
     quad_points_1d : quadrature points per dimension (None = the
         problem's default, 2k, which reproduces the paper's shapes).
     pcg_tol : momentum PCG relative tolerance. The tight default is what
-        lets total energy conservation reach machine precision.
+        lets total energy conservation reach machine precision. PCG runs
+        only on ranks (`ranks` > 0); the serial momentum solve is direct.
     """
 
     quad_points_1d: int | None = None
@@ -437,16 +438,19 @@ class LagrangianHydroSolver:
         self.integrator.force_fn = new.force_fn
         if old.name == "distributed":
             # Leaving the simulated-MPI layer: restore the serial
-            # momentum operator and the default RHS assembly.
-            self.momentum = MomentumSolver(
+            # momentum solve and the default RHS assembly.
+            self.install_momentum(MomentumSolver(
                 self.mass_v, self.bc,
                 tol=self.options.pcg_tol, maxiter=self.options.pcg_maxiter,
-            )
-            self.integrator.momentum = self.momentum
+            ))
             self.integrator.assemble_fn = None
         old.close()
         if self.scheduler is not None:
             self.scheduler.reset()
+
+    def install_momentum(self, momentum) -> None:
+        """Make `momentum` the solve both this solver and its integrator use."""
+        self.momentum = self.integrator.momentum = momentum
 
     def close(self) -> None:
         """Shut down the backend (worker pools + shared memory)."""

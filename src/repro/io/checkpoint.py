@@ -32,6 +32,7 @@ __all__ = [
     "load_checkpoint",
     "restore_solver",
     "payload_digest",
+    "read_npz",
     "CheckpointCorruptionError",
 ]
 
@@ -96,6 +97,16 @@ def save_checkpoint(path: str | Path, solver, state: HydroState | None = None) -
     return path
 
 
+def read_npz(path: str | Path) -> dict:
+    """Every array of an .npz archive, read into memory.
+
+    The file is opened here, not by `np.load`: `np.load` leaks its own
+    handle when the archive is too damaged to open as a zip.
+    """
+    with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as data:
+        return {key: data[key].copy() for key in data.files}
+
+
 def load_checkpoint(path: str | Path, verify: bool = True) -> dict:
     """Read a checkpoint into a plain dict (state + metadata).
 
@@ -105,8 +116,7 @@ def load_checkpoint(path: str | Path, verify: bool = True) -> dict:
     """
     path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as data:
-            payload = {key: data[key].copy() for key in data.files}
+        payload = read_npz(path)
     except (zipfile.BadZipFile, EOFError, OSError) as exc:
         raise CheckpointCorruptionError(
             f"checkpoint {path} is unreadable (truncated or corrupted): {exc}"

@@ -160,6 +160,9 @@ class HybridExecutor:
         n = self.cfg.kinematic_ndof_estimate
         # Node-level bandwidth scales with the loaded packages.
         node = CPUExecutionModel(self.cpu)
+        # The paper's (CUDA-)PCG stays modeled: `pcg_iterations` is a
+        # PCG-path count (e.g. `PCGMomentumSolver`), never the serial
+        # solver's direct solve, which reports zero iterations.
         cg = node.cg_time(self.pcg_iterations * self.cfg.dim, self.mass_nnz, n)
         energy_solve = node.spmv_time(
             self.cfg.nzones * self.cfg.ndof_thermo_zone**2,

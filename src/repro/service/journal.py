@@ -277,14 +277,11 @@ class ResultStore:
             return None
         import zipfile
 
-        import numpy as np
-
         from repro.hydro.state import HydroState
-        from repro.io.checkpoint import payload_digest
+        from repro.io.checkpoint import payload_digest, read_npz
 
         try:
-            with np.load(path, allow_pickle=False) as data:
-                payload = {k: data[k].copy() for k in data.files}
+            payload = read_npz(path)
             stored = str(payload.pop(_HASH_KEY).item())
             if stored != payload_digest(payload):
                 raise ValueError("stored SHA-256 does not match the content")

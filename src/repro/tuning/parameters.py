@@ -65,6 +65,12 @@ class ParamSpace:
             self._feasible = out
         return list(self._feasible)
 
+    def contains(self, cand: dict) -> bool:
+        """Whether `cand` is a feasible point, tested without enumerating."""
+        return cand.keys() == self.ranges.keys() and all(
+            cand[k] in v for k, v in self.ranges.items()
+        ) and all(pred(cand) for pred in self._constraints)
+
     def feasible(self) -> list[dict]:
         """The feasible set, guaranteed non-empty.
 

@@ -138,8 +138,7 @@ class SearchStrategy:
         self._space = space
         self._feasible = space.feasible()
         # Every candidate of one space has the same keys, so a fixed
-        # key order beats re-sorting dict items per memo probe (the
-        # local strategy keys the whole feasible set on reset).
+        # key order beats re-sorting dict items per memo probe.
         self._key_order = sorted(space.ranges)
         self._scores = {}
         self.evaluations = 0
@@ -249,7 +248,6 @@ class LocalSearch(SearchStrategy):
         self.passes = int(passes)
 
     def _start(self) -> None:
-        self._index = {self._key(c) for c in self._feasible}
         self._axes = list(self._space.ranges)
         self._current = dict(self._rng.choice(self._feasible))
         self._axis_i = 0
@@ -264,7 +262,7 @@ class LocalSearch(SearchStrategy):
         for value in self._space.ranges[axis]:
             cand = dict(self._current)
             cand[axis] = value
-            if self._key(cand) in self._index:
+            if self._space.contains(cand):
                 self._neighbors.append(cand)
         self._queue = [
             c for c in self._neighbors if self._key(c) not in self._scores

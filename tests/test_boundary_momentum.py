@@ -1,15 +1,27 @@
-"""Tests for boundary conditions and the momentum solver."""
+"""Tests for boundary conditions and the momentum solvers.
+
+The `-k smoke` subset (CI's momentum lane) checks the serial direct
+solve against the paper's PCG on every problem, and its lifetime
+(lazy factor, warm reuse, backend parity).
+"""
+
+import hashlib
 
 import numpy as np
 import pytest
 
+import repro.hydro.momentum as momentum
+from repro.api import RunConfig, make_problem
 from repro.fem.assembly import assemble_kinematic_mass
 from repro.fem.geometry import GeometryEvaluator
 from repro.fem.mesh import cartesian_mesh_2d
 from repro.fem.quadrature import tensor_quadrature
 from repro.fem.spaces import H1Space
 from repro.hydro.boundary import BoundaryConditions
-from repro.hydro.momentum import MomentumSolver
+from repro.hydro.momentum import MomentumSolver, PCGMomentumSolver
+from repro.hydro.solver import LagrangianHydroSolver
+from repro.linalg.banded import BandCholesky, half_bandwidth
+from repro.linalg.csr import CSRMatrix
 
 
 def mass_and_space(k=2, n=2):
@@ -92,12 +104,21 @@ class TestMomentumSolver:
 
     def test_solve_info_populated(self, rng):
         mass, sp = mass_and_space()
-        solver = MomentumSolver(mass, BoundaryConditions.none(sp))
+        solver = PCGMomentumSolver(mass, BoundaryConditions.none(sp))
         solver.solve(rng.standard_normal((sp.ndof, 2)))
         info = solver.last_info
         assert info.iterations > 0
         assert info.flops > 0
         assert info.spmv_count >= info.iterations
+        assert info.converged
+
+    def test_direct_solve_info(self, rng):
+        mass, sp = mass_and_space()
+        solver = MomentumSolver(mass, BoundaryConditions.box_symmetry(sp))
+        solver.solve(rng.standard_normal((sp.ndof, 2)))
+        info = solver.last_info
+        assert (info.iterations, info.spmv_count, info.converged) == (0, 0, True)
+        assert info.flops > 0
 
     def test_shape_validation(self, rng):
         mass, sp = mass_and_space()
@@ -109,3 +130,114 @@ class TestMomentumSolver:
         mass, sp = mass_and_space()
         with pytest.raises(ValueError):
             MomentumSolver(mass, BoundaryConditions(sp.ndof + 1, 2))
+
+
+def _build(name, order, zones, **cfg):
+    config = RunConfig(order=order, zones=zones, **cfg)
+    return LagrangianHydroSolver(make_problem(name, config), config)
+
+
+def _digest(state) -> str:
+    h = hashlib.sha256()
+    for field in (state.v, state.e, state.x):
+        h.update(np.ascontiguousarray(field).tobytes())
+    return h.hexdigest()
+
+
+class TestBandCholesky:
+    @pytest.mark.parametrize("n, bw", [(1, 0), (37, 3), (100, 40), (257, 64)])
+    def test_solve_matches_dense(self, rng, n, bw):
+        a = np.zeros((n, n))
+        for k in range(bw + 1):
+            band = rng.uniform(-1.0, 1.0, n - k)
+            a += np.diag(band, -k) + (np.diag(band, k) if k else 0)
+        a += np.diag(np.abs(a).sum(axis=1) + 1.0)  # diagonally dominant: SPD
+        csr = CSRMatrix.from_dense(a)
+        assert half_bandwidth(csr) == bw
+        factor = BandCholesky(csr)
+        assert factor.block_size >= bw
+        b = rng.standard_normal((n, 3))
+        np.testing.assert_allclose(factor.solve(b), np.linalg.solve(a, b), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(factor.solve(b[:, 0]), np.linalg.solve(a, b[:, 0]),
+                                   rtol=0, atol=1e-12)
+
+    def test_rejects_bad_rhs(self):
+        factor = BandCholesky(CSRMatrix.identity(4))
+        with pytest.raises(ValueError):
+            factor.solve(np.ones(5))
+
+
+class TestDirectMomentumSolve:
+    @pytest.mark.parametrize(
+        "name", ["sedov", "noh", "triple-pt", "taylor-green", "saltzman", "sod"]
+    )
+    def test_smoke_matches_pcg_every_problem(self, name, rng):
+        for order in (1, 2, 3):
+            for zones in (2, 3, 4):
+                s = _build(name, order, zones)
+                rhs = rng.standard_normal((s.mass_v.nrows, s.kinematic.dim))
+                direct = MomentumSolver(s.mass_v, s.bc).solve(rhs)
+                ref = PCGMomentumSolver(s.mass_v, s.bc).solve(rhs)
+                scale = np.max(np.abs(ref))
+                assert np.max(np.abs(direct - ref)) <= 1e-12 * scale, (order, zones)
+                assert np.all(direct[s.bc.mask] == 0.0)
+                s.close()
+
+    def test_smoke_fully_constrained_component(self, rng):
+        """Sod at Q1 pins every y-dof: that component has no free set."""
+        s = _build("sod", 1, 3)
+        assert s.bc.mask[:, 1].all() and not s.bc.mask[:, 0].all()
+        rhs = rng.standard_normal((s.mass_v.nrows, 2))
+        a = s.momentum.solve(rhs)
+        assert np.all(a[:, 1] == 0.0)
+        ref = PCGMomentumSolver(s.mass_v, s.bc).solve(rhs)
+        assert np.max(np.abs(a - ref)) <= 1e-12 * np.max(np.abs(ref))
+        s.close()
+
+    def test_smoke_factor_is_lazy_and_survives_reset(self):
+        s = _build("sedov", 2, 4)
+        assert s.momentum._direct is None  # nothing factored at set-up
+        cold = _digest(s.run(max_steps=4).state)
+        factor = s.momentum._direct
+        assert factor
+        s.reset()
+        assert _digest(s.run(max_steps=4).state) == cold
+        assert s.momentum._direct is factor
+        s.close()
+        fresh = _build("sedov", 2, 4)
+        assert _digest(fresh.run(max_steps=4).state) == cold
+        fresh.close()
+
+    def test_smoke_fused_and_hybrid_bit_identical(self):
+        digests = []
+        for backend in ("cpu-fused", "hybrid"):
+            s = _build("sedov", 2, 4, backend=backend)
+            digests.append(_digest(s.run(max_steps=4).state))
+            s.close()
+        assert digests[0] == digests[1]
+
+    def test_smoke_ranks_keep_pcg(self):
+        s = _build("sedov", 2, 4, ranks=2)
+        assert type(s.momentum) is not MomentumSolver
+        assert isinstance(s.momentum, PCGMomentumSolver)
+        assert s.run(max_steps=2).workload.pcg_iterations > 0
+        s.close()
+
+    def test_over_budget_falls_back_to_pcg(self, rng, monkeypatch):
+        mass, sp = mass_and_space(k=2, n=3)
+        bc = BoundaryConditions.box_symmetry(sp)
+        rhs = rng.standard_normal((sp.ndof, 2))
+        monkeypatch.setattr(momentum, "FACTOR_BUDGET_BYTES", 0)
+        solver = MomentumSolver(mass, bc)
+        a = solver.solve(rhs)
+        assert solver._direct is False
+        assert solver.last_info.iterations > 0
+        np.testing.assert_array_equal(a, PCGMomentumSolver(mass, bc).solve(rhs))
+
+    def test_singular_mass_falls_back_to_pcg(self, rng):
+        s = _build("sedov", 2, 4, quad_points_1d=2)  # under-integrated: M singular
+        rhs = rng.standard_normal((s.mass_v.nrows, 2))
+        a = s.momentum.solve(rhs)
+        assert s.momentum._direct is False
+        np.testing.assert_array_equal(a, PCGMomentumSolver(s.mass_v, s.bc).solve(rhs))
+        s.close()

@@ -214,6 +214,19 @@ class TestParamSpaceRestrictions:
         assert declared.candidates() == chained.candidates()
         assert declared.eliminated_count() == chained.eliminated_count() == 1
 
+    def test_contains_agrees_with_enumeration(self):
+        space = ParamSpace(
+            restrictions=[lambda c: c["m"] * c["n"] <= 32, lambda c: c["n"] != 8],
+            m=[1, 2, 4, 8, 16], n=[1, 2, 4, 8],
+        )
+        feasible = space.candidates()
+        for m in (0, 1, 2, 4, 8, 16, 32):
+            for n in (1, 2, 4, 8, 3):
+                cand = {"m": m, "n": n}
+                assert space.contains(cand) == (cand in feasible), cand
+        assert not space.contains({"m": 1})
+        assert not space.contains({"m": 1, "n": 1, "k": 0})
+
     def test_constrain_invalidates_enumeration_cache(self):
         space = ParamSpace(m=[1, 2, 4, 8])
         assert len(space.candidates()) == 4
