@@ -21,16 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.hydro.boundary import BoundaryConditions
-from repro.linalg.banded import BandCholesky, band_layout
+from repro.linalg.banded import BandCholesky
 from repro.linalg.csr import CSRMatrix
 from repro.linalg.pcg import pcg
 
 __all__ = ["MomentumSolver", "PCGMomentumSolver", "MomentumSolveInfo"]
 
-# Largest direct factor (band blocks + constraint corrections) worth
-# holding. Past it — wide bands of big 3D meshes, where the factor
-# grows as n * bandwidth — `MomentumSolver` iterates instead.
-FACTOR_BUDGET_BYTES = 64 << 20
+# Largest direct solve worth holding, counted at its peak while it is
+# built (`_DirectSolve.nbytes`). Against PCG on serial 3D Sedov Q2, 10
+# steps, ten alternating pairs: at 4^3 zones (6.3 MiB) the run takes 42%
+# less time for +12% peak RSS; at 6^3 (40 MiB) 33% less time for +52%.
+# Their first step, which builds the factor, is 19% and 110% slower.
+# Peak RSS rose by about 0.8 of the estimate, so this budget keeps the
+# rise near 15% of the ~45 MB a small run holds; past it (the factor
+# grows as n * bandwidth) `MomentumSolver` iterates instead.
+FACTOR_BUDGET_BYTES = 8 << 20
 
 
 @dataclass
@@ -141,12 +146,14 @@ class _DirectSolve:
 
     @staticmethod
     def nbytes(mass: CSRMatrix, bc: BoundaryConditions) -> int:
-        """Storage the factor and corrections would take, before building."""
+        """Peak bytes while building, before anything is allocated: the
+        factor, every correction, and the unit columns and M^-1 P_C of
+        the widest component (one component is built at a time)."""
         n = mass.nrows
-        nb, bs = band_layout(mass)
         counts = bc.mask.sum(axis=0)
-        corrections = int(counts[(counts > 0) & (counts < n)].sum()) * n
-        return 8 * ((2 * nb - 1) * bs * bs + corrections)
+        counts = counts[(counts > 0) & (counts < n)]
+        widest = int(counts.max()) if counts.size else 0
+        return BandCholesky.nbytes(mass) + 8 * n * (int(counts.sum()) + 2 * widest)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         z = self.factor.solve(np.where(self.mask, 0.0, rhs))

@@ -9,7 +9,7 @@ dense matmuls — applied to all right-hand-side columns at once.
 
 The factor stores, per block row, the inverse of the diagonal L block
 and the sub-diagonal L block. Storage is (2 nblocks - 1) * bs^2
-doubles, about 2 n * bandwidth; `band_layout` gives the layout before
+doubles, about 2 n * bandwidth; `BandCholesky.nbytes` gives it before
 anything is allocated, so callers can price the factor first.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.linalg.csr import CSRMatrix
 
-__all__ = ["BandCholesky", "band_layout", "half_bandwidth"]
+__all__ = ["BandCholesky", "half_bandwidth"]
 
 # Floor on the block size: a narrow band would otherwise mean many tiny
 # blocks, and the sweeps' per-block call overhead would dominate.
@@ -34,7 +34,7 @@ def half_bandwidth(a: CSRMatrix) -> int:
     return int(np.max(np.abs(rows - a.indices)))
 
 
-def band_layout(a: CSRMatrix) -> tuple[int, int]:
+def _band_layout(a: CSRMatrix) -> tuple[int, int]:
     """(nblocks, block_size) with block_size >= the half-bandwidth.
 
     The block count is as large as the band allows, and the size the
@@ -53,7 +53,7 @@ class BandCholesky:
         if a.nrows != a.ncols:
             raise ValueError("matrix must be square")
         n = a.nrows
-        nb, bs = band_layout(a)
+        nb, bs = _band_layout(a)
         self.n, self.nblocks, self.block_size = n, nb, bs
         # Dense diagonal blocks D_i and sub-diagonal blocks E_i =
         # A[block i+1, block i]; the upper blocks are E_i^T by symmetry.
@@ -77,6 +77,12 @@ class BandCholesky:
                 sub[i] = sub[i] @ diag[i].T
         self.inv_diag = diag
         self.sub = sub
+
+    @staticmethod
+    def nbytes(a: CSRMatrix) -> int:
+        """Bytes the factor of `a` will hold, computed without building it."""
+        nb, bs = _band_layout(a)
+        return 8 * (2 * nb - 1) * bs * bs
 
     def solve_flops(self, ncols: int) -> int:
         """Flops of one `solve` with `ncols` right-hand-side columns."""

@@ -156,6 +156,7 @@ class TestBandCholesky:
         assert half_bandwidth(csr) == bw
         factor = BandCholesky(csr)
         assert factor.block_size >= bw
+        assert BandCholesky.nbytes(csr) == factor.inv_diag.nbytes + factor.sub.nbytes
         b = rng.standard_normal((n, 3))
         np.testing.assert_allclose(factor.solve(b), np.linalg.solve(a, b), rtol=0, atol=1e-12)
         np.testing.assert_allclose(factor.solve(b[:, 0]), np.linalg.solve(a, b[:, 0]),
@@ -169,14 +170,19 @@ class TestBandCholesky:
 
 class TestDirectMomentumSolve:
     @pytest.mark.parametrize(
-        "name", ["sedov", "noh", "triple-pt", "taylor-green", "saltzman", "sod"]
+        "name, dim",
+        [(p, 2) for p in ("sedov", "noh", "triple-pt", "taylor-green", "saltzman", "sod")]
+        + [("sedov", 3), ("noh", 3)],
     )
-    def test_smoke_matches_pcg_every_problem(self, name, rng):
-        for order in (1, 2, 3):
-            for zones in (2, 3, 4):
-                s = _build(name, order, zones)
-                rhs = rng.standard_normal((s.mass_v.nrows, s.kinematic.dim))
-                direct = MomentumSolver(s.mass_v, s.bc).solve(rhs)
+    def test_smoke_matches_pcg_every_problem(self, name, dim, rng):
+        orders, zone_counts = ((1, 2, 3), (2, 3, 4)) if dim == 2 else ((1, 2), (2, 3))
+        for order in orders:
+            for zones in zone_counts:
+                s = _build(name, order, zones, dim=dim)
+                rhs = rng.standard_normal((s.mass_v.nrows, dim))
+                solver = MomentumSolver(s.mass_v, s.bc)
+                direct = solver.solve(rhs)
+                assert isinstance(solver._direct, momentum._DirectSolve), (order, zones)
                 ref = PCGMomentumSolver(s.mass_v, s.bc).solve(rhs)
                 scale = np.max(np.abs(ref))
                 assert np.max(np.abs(direct - ref)) <= 1e-12 * scale, (order, zones)
@@ -233,6 +239,15 @@ class TestDirectMomentumSolve:
         assert solver._direct is False
         assert solver.last_info.iterations > 0
         np.testing.assert_array_equal(a, PCGMomentumSolver(mass, bc).solve(rhs))
+
+    def test_budget_splits_the_measured_3d_meshes(self):
+        """3D Sedov Q2 was timed against PCG at 4^3 zones (factored) and
+        6^3 (iterates): the budget must keep them on those sides."""
+        for zones, fits in ((4, True), (6, False)):
+            s = _build("sedov", 2, zones, dim=3)
+            nbytes = momentum._DirectSolve.nbytes(s.mass_v, s.bc)
+            assert (nbytes <= momentum.FACTOR_BUDGET_BYTES) is fits, zones
+            s.close()
 
     def test_singular_mass_falls_back_to_pcg(self, rng):
         s = _build("sedov", 2, 4, quad_points_1d=2)  # under-integrated: M singular
