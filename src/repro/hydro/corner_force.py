@@ -28,9 +28,12 @@ zero-allocation hot path mirroring the paper's register-blocked GPU
 kernels: all einsum contraction paths are planned once at construction,
 every intermediate writes into a `Workspace` buffer, geometry is
 evaluated once per RK2 stage into a read-only per-`x` cache, and the
-corner-force matrix is produced by a single fused five-operand
-contraction. The two modes agree to a few ULPs (~1e-15 relative; the
-fused contractions reorder mathematically-identical floating point).
+corner-force matrix comes from `_contract_fz`, one of two pairwise plans
+fixed from the shapes: at low order with at least as many zones as
+quadrature points, T = sigma adj(J)^T contracted against a
+gradW x (alpha B) table in one GEMM; otherwise T and A_z in workspace
+buffers and one GEMM against (alpha B)^T. The two modes agree to a few ULPs (~1e-15 relative; the
+contractions reorder mathematically-identical floating point).
 """
 
 from __future__ import annotations
@@ -61,10 +64,14 @@ __all__ = [
 
 # Table 2 span names for the kernel-aligned stages of the fused path:
 # geometry (adjugate/det/SVD), pointwise stress (EoS + grad v + viscosity),
-# and the fused A_z B^T contraction (kernels 5/6/7 in one einsum).
+# and the A_z B^T contraction (kernels 5/6/7, `_contract_fz`).
 _K_GEOMETRY = span_label(1)
 _K_STRESS = span_label(2)
 _K_FORCE = span_label(7)
+
+# Pairwise F_z path over (sigma, adj, gradW, alpha, B): T = sigma adj^T,
+# alpha B, the gradW x (alpha B) table, then one GEMM of T against it.
+_FZ_PAIRWISE_PATH = ["einsum_path", (0, 1), (1, 2), (0, 2), (0, 1)]
 
 
 @dataclass
@@ -189,12 +196,14 @@ class ForceEngine:
             shaped(nz, ndz, dim), self.grad_table, shaped(nz, nqp, dim, dim),
             optimize="optimal",
         )[0]
-        self._path_fz = np.einsum_path(
-            "zkde,zkre,kir,k,jk->zidj",
-            shaped(nz, nqp, dim, dim), shaped(nz, nqp, dim, dim),
-            self.grad_table, quad.weights, self.B,
-            optimize="optimal",
-        )[0]
+        # F_z plan, fixed from the shapes by measured thresholds
+        # (`benchmarks/fz_plans.py`, DESIGN.md). The pairwise path builds
+        # a gradW x (alpha B) table per call, so it needs nz >= nqp zones
+        # to amortize it; per zone its GEMM costs dim times the two-stage
+        # GEMM, which only pays while ndl2 <= 27 (to 2D Q5 and 3D Q3).
+        self._fz_pairwise = nz >= nqp and ndl2 <= 27
+        self._grad_rik = np.ascontiguousarray(self.grad_table.transpose(2, 1, 0))
+        self._wb_T = np.ascontiguousarray((self.B * quad.weights).T)  # (nqp, ndl2)
         self._path_ftv = np.einsum_path(
             "zidj,zid->zj", shaped(*self._fz_shape), shaped(nz, ndz, dim),
             optimize="optimal",
@@ -413,8 +422,8 @@ class ForceEngine:
         """Fused evaluation restricted to the contiguous zone span [lo, hi).
 
         The per-zone arithmetic is exactly `_compute_fused`'s: the same
-        contractions over the same construction-time `einsum_path`s,
-        applied to a row slice of each batched operand. Every contraction
+        contractions over the same construction-time plans, applied to a
+        row slice of each batched operand. Every contraction
         reduces within a zone (never across zones), so the result is
         *schedule-deterministic*: a fixed partition of the mesh into
         spans always produces the same bits, no matter how the spans are
@@ -476,11 +485,7 @@ class ForceEngine:
         for d in range(dim):
             sigma[..., d, d] -= p
         Fz = ws.get("Fz", (nspan, ndz, dim, ndl2))
-        np.einsum(
-            "zkde,zkre,kir,k,jk->zidj",
-            sigma, geo.adj, self.grad_table, self.quad.weights, self.B,
-            out=Fz, optimize=self._path_fz,
-        )
+        self._contract_fz(sigma, geo.adj, ws, Fz)
         points = PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
         dt_est = self.estimate_dt(points, geo)
         return ForceResult(Fz, geo, points, dt_est, valid=True)
@@ -489,9 +494,9 @@ class ForceEngine:
         """Full corner-force evaluation at the given state.
 
         Dispatches to the fused zero-allocation path unless the engine
-        was built with fused=False or the caller wants the intermediate
-        A_z (a debugging/analysis flag the fused contraction never
-        materializes).
+        was built with fused=False or the caller wants the weighted
+        intermediate A_z (a debugging/analysis flag; the fused path never
+        returns it).
         """
         if self.fused and not keep_az:
             return self._compute_fused(state)
@@ -499,14 +504,7 @@ class ForceEngine:
 
     def _compute_fused(self, state: HydroState) -> ForceResult:
         """Workspace-backed evaluation: planned contractions, no
-        steady-state allocations, single fused F_z einsum.
-
-        F_z[z,i,d,j] = sum_k alpha_k B[j,k] sum_e sigma[z,k,d,e]
-                        sum_r gradW[k,i,r] adj(J)[z,k,r,e]
-        fuses kernels 5/6/7 into one five-operand contraction over the
-        path planned at construction — the analogue of the paper's
-        register-blocked kernel fusion (intermediates never touch
-        "off-chip" memory, i.e. fresh heap arrays).
+        steady-state allocations; kernels 5/6/7 run as `_contract_fz`.
         """
         ws = self.workspace
         nz, ndz, dim, ndl2 = self._fz_shape
@@ -543,14 +541,41 @@ class ForceEngine:
         self._fz_slot = 1 - slot
         Fz = ws.get(f"Fz{slot}", self._fz_shape)
         with tr.span(_K_FORCE, category="kernel") if tr else NULL_SPAN:
-            np.einsum(
-                "zkde,zkre,kir,k,jk->zidj",
-                sigma, geo.adj, self.grad_table, self.quad.weights, self.B,
-                out=Fz, optimize=self._path_fz,
-            )
+            self._contract_fz(sigma, geo.adj, ws, Fz)
         points = PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
         dt_est = self.estimate_dt(points, geo)
         return ForceResult(Fz, geo, points, dt_est, valid=True)
+
+    def _contract_fz(
+        self, sigma: np.ndarray, adj: np.ndarray, ws: Workspace, out: np.ndarray
+    ) -> None:
+        """Kernels 5/6/7: F_z of the zones in `sigma` / `adj`, into `out`.
+
+        F_z[z,i,d,j] = sum_k alpha_k B[j,k] sum_r gradW[k,i,r] T[z,k,d,r],
+        T[z,k,d,r] = sum_e sigma[z,k,d,e] adj(J)[z,k,r,e].
+        Both plans are pairwise; `_fz_pairwise` picks one. The pairwise
+        path forms T, then the (nqp, ndz, dim, ndl2) table
+        gradW x (alpha B), then contracts the two in one GEMM. The
+        two-stage form puts T and
+        A_z[z,i,d,k] = sum_r gradW[k,i,r] T[z,k,d,r] in workspace
+        buffers and makes F_z one GEMM of A_z, viewed as
+        (zones * ndz * dim, nqp), against the constant (alpha B)^T;
+        `out` must then be C-contiguous, as workspace buffers are.
+        """
+        if self._fz_pairwise:
+            np.einsum(
+                "zkde,zkre,kir,k,jk->zidj",
+                sigma, adj, self.grad_table, self.quad.weights, self.B,
+                out=out, optimize=_FZ_PAIRWISE_PATH,
+            )
+            return
+        n, ndz, dim, ndl2 = out.shape
+        nqp = self.quad.nqp
+        T = ws.get("fz.T", (n, dim, dim, nqp))
+        np.einsum("zkde,zkre->zdrk", sigma, adj, out=T)
+        Az = ws.get("fz.Az", (n, ndz, dim, nqp))
+        np.einsum("rik,zdrk->zidk", self._grad_rik, T, out=Az)
+        np.matmul(Az.reshape(-1, nqp), self._wb_T, out=out.reshape(-1, ndl2))
 
     def _compute_legacy(self, state: HydroState, keep_az: bool = False) -> ForceResult:
         """Historical allocate-per-call evaluation (also serves keep_az)."""

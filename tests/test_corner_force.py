@@ -45,10 +45,15 @@ def random_state(eng, h1, l2, rng, v_scale=0.1, perturb_x=0.0):
 class TestBatchedVsLoops:
     """The paper's CPU/GPU consistency check (Table 6 analog)."""
 
-    @pytest.mark.parametrize("dim,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    @pytest.mark.parametrize(
+        "dim,k", [(2, 1), (2, 2), (2, 3), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3)]
+    )
     def test_agreement(self, rng, dim, k):
+        # Two zones a side: fewer zones than quadrature points, so from
+        # 2D Q2 and 3D Q2 on this takes the two-stage GEMM F_z form.
         eng, h1, l2 = make_engine(dim=dim, k=k, nzones=2)
-        state = random_state(eng, h1, l2, rng, perturb_x=0.01)
+        # High-order node spacing is finer: keep the random mesh untangled.
+        state = random_state(eng, h1, l2, rng, perturb_x=0.01 if k <= 3 else 0.002)
         batched = eng.compute(state).Fz
         loops = corner_force_loops(eng, state)
         assert np.allclose(batched, loops, rtol=1e-12, atol=1e-13)
@@ -65,6 +70,56 @@ class TestBatchedVsLoops:
         eng.eos = GammaLawEOS(gamma=gammas[:, None])
         state = random_state(eng, h1, l2, rng)
         assert np.allclose(eng.compute(state).Fz, corner_force_loops(eng, state), rtol=1e-12)
+
+
+class TestFzPlan:
+    """How the fused engine forms F_z, fixed from the shapes alone."""
+
+    # One zone (two-stage form) and two zones a side at every order, plus
+    # 2k zones a side, where nzones == nqp and the pairwise path runs.
+    CASES = sorted(
+        {(2, k, n) for k in range(1, 9) for n in (1, 2)}
+        | {(3, k, n) for k in range(1, 5) for n in (1, 2)}
+        | {(2, k, 2 * k) for k in range(1, 5)}
+        | {(3, k, 2 * k) for k in (1, 2)}
+    )
+
+    @pytest.mark.parametrize("dim,k,nzones", CASES)
+    def test_smoke_fz_contraction_is_pairwise(self, rng, monkeypatch, dim, k, nzones):
+        """No F_z step contracts three or more operands at once (numpy
+        runs such a step as a scalar loop); the pairwise path runs from
+        nzones >= nqp on at low order and reproduces numpy's own
+        "optimal" plan there bit for bit; the two-stage form agrees with
+        it to roundoff."""
+        eng, h1, l2 = make_engine(dim=dim, k=k, nzones=nzones)
+        res = eng.compute(random_state(eng, h1, l2, rng, perturb_x=0.002 / k))
+        sigma, adj = res.points.sigma, res.geometry.adj
+        planned = np.einsum(
+            "zkde,zkre,kir,k,jk->zidj", sigma, adj, eng.grad_table, eng.quad.weights, eng.B,
+            optimize="optimal",
+        )
+        steps = []
+        einsum = np.einsum
+
+        def counting_einsum(subscripts, *operands, optimize=False, **kwargs):
+            if isinstance(optimize, list):
+                steps.extend(optimize[1:])
+            else:
+                steps.append(tuple(range(len(operands))))
+            return einsum(subscripts, *operands, optimize=optimize, **kwargs)
+
+        out = np.empty(planned.shape)
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        eng._contract_fz(sigma, adj, eng.workspace, out)
+        monkeypatch.undo()
+        assert steps and max(len(step) for step in steps) <= 2
+        nz, _, _, ndl2 = eng._fz_shape
+        assert eng._fz_pairwise == (nz >= eng.quad.nqp and ndl2 <= 27)
+        if eng._fz_pairwise:
+            np.testing.assert_array_equal(out, planned)
+        else:
+            assert np.abs(out - planned).max() <= 1e-13 * np.abs(planned).max()
+        np.testing.assert_array_equal(res.Fz, out)
 
 
 class TestForceStructure:

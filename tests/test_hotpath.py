@@ -82,6 +82,24 @@ class TestEngineParity:
             np.testing.assert_array_equal(rf.geometry.adj, rl.geometry.adj)
             np.testing.assert_array_equal(rf.points.rho, rl.points.rho)
 
+    @pytest.mark.parametrize("order", [2, 6])
+    def test_fused_span_matches_compute_rows(self, order, rng):
+        """`compute_fused_span` over a 2-span partition reproduces the
+        rows of `compute` (Q2 on 16 zones takes the pairwise F_z path,
+        Q6 the two-stage GEMM form), and the trivial span is bitwise
+        `compute`."""
+        fused = make_engines(order, 4, fused_only=True)
+        state = random_state(fused.kinematic, fused.thermodynamic, rng)
+        full = fused.compute(state)
+        nz = fused.kinematic.mesh.nzones
+        spans = [fused.compute_fused_span(state, lo, hi) for lo, hi in ((0, 7), (7, nz))]
+        assert all(r.valid for r in spans)
+        np.testing.assert_allclose(np.concatenate([r.Fz for r in spans]), full.Fz, **PARITY)
+        assert min(r.dt_est for r in spans) == pytest.approx(full.dt_est, rel=1e-13)
+        whole = fused.compute_fused_span(state, 0, nz)
+        np.testing.assert_array_equal(whole.Fz, full.Fz)
+        assert whole.dt_est == full.dt_est
+
     def test_parallel_bitwise_vs_chunked_serial(self, rng):
         _, fused = make_engines(2, 6)
         state = random_state(fused.kinematic, fused.thermodynamic, rng)
@@ -134,8 +152,12 @@ class TestAllocationDiscipline:
         a2.setflags(write=False)
         assert ws.get("frozen", (3,)).flags.writeable  # thawed on reuse
 
-    def test_engine_steady_state_buffer_ids_stable(self, rng):
-        fused = make_engines(2, 5, fused_only=True)
+    @staticmethod
+    def _steady_state_engine(order: int, nz1d: int, rng):
+        """Warm a fused engine up, then step it: buffer ids and workspace
+        misses must not move. Returns the engine, its buffer ids and the
+        tracemalloc peak of the steady-state calls."""
+        fused = make_engines(order, nz1d, fused_only=True)
         states = [
             random_state(fused.kinematic, fused.thermodynamic, rng) for _ in range(2)
         ]
@@ -143,10 +165,26 @@ class TestAllocationDiscipline:
             fused.compute(states[i % 2])
         ids = fused.workspace.buffer_ids()
         misses = fused.workspace.misses
+        tracemalloc.start()
         for i in range(6):
             fused.compute(states[i % 2])
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
         assert fused.workspace.buffer_ids() == ids
         assert fused.workspace.misses == misses
+        return fused, ids, peak
+
+    def test_engine_steady_state_buffer_ids_stable(self, rng):
+        self._steady_state_engine(2, 5, rng)
+
+    def test_engine_steady_state_gemm_fz_buffer_from_workspace(self, rng):
+        """Q6 on 2x2 zones forms F_z through the A_z stage buffer. It is
+        leased from the workspace, so no call allocates one that large."""
+        fused, ids, peak = self._steady_state_engine(6, 2, rng)
+        assert not fused._fz_pairwise
+        az = fused.workspace.get("fz.Az", (4, 49, 2, 144))
+        assert id(az) == ids["fz.Az"]
+        assert peak < az.nbytes // 2
 
     def test_solver_steps_no_persistent_allocations(self):
         solver = LagrangianHydroSolver(
