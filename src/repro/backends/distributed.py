@@ -374,8 +374,8 @@ class DistributedBackend:
                 self._vec_plan,
                 self.nranks,
                 self.comm,
-                tol=solver.options.pcg_tol,
-                maxiter=solver.options.pcg_maxiter,
+                tol=solver.config.pcg_tol,
+                maxiter=solver.config.pcg_maxiter,
             )
         else:
             self.momentum = DistributedMomentumSolver(
@@ -383,8 +383,8 @@ class DistributedBackend:
                 solver.bc,
                 [r.mass_local for r in self.ranks],
                 self.comm,
-                tol=solver.options.pcg_tol,
-                maxiter=solver.options.pcg_maxiter,
+                tol=solver.config.pcg_tol,
+                maxiter=solver.config.pcg_maxiter,
             )
         solver.install_momentum(self.momentum)
 

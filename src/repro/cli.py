@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--vtk", default=None, help="write a VTK snapshot here")
     run.add_argument("--checkpoint", default=None, help="write a checkpoint here")
     run.add_argument("--restore", default=None, help="restore a checkpoint first")
-    run.add_argument("--backend", default=None,
+    run.add_argument("--backend", default="cpu-fused",
                      choices=("cpu-serial", "cpu-fused", "cpu-sumfact",
                               "cpu-parallel", "hybrid"),
                      help="execution backend: the legacy reference engine, the "
@@ -76,14 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="how the campaign walks the joint configuration "
                           "space (default: greedy local coordinate descent)")
     run.add_argument("--workers", type=int, default=0, metavar="N",
-                     help="evaluate corner forces over N shared-memory worker "
-                          "processes (deprecated spelling of "
-                          "--backend cpu-parallel)")
-    run.add_argument("--engine", default=None, choices=("fused", "legacy"),
-                     help="deprecated: use --backend cpu-fused / cpu-serial")
-    # Hidden alias for the pre-RunConfig spelling of --engine legacy.
-    run.add_argument("--legacy-engine", action="store_true",
-                     help=argparse.SUPPRESS)
+                     help="worker processes of --backend cpu-parallel "
+                          "(default 0: all cores)")
     run.add_argument("--ranks", type=int, default=0, metavar="N",
                      help="partition the mesh over N simulated-MPI ranks; "
                           "composes with --backend (each rank runs the "
@@ -198,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--zones", type=int, default=8)
     submit.add_argument("--t-final", type=float, default=None)
     submit.add_argument("--max-steps", type=int, default=100_000)
-    submit.add_argument("--backend", default=None,
+    submit.add_argument("--backend", default="cpu-fused",
                         choices=("cpu-serial", "cpu-fused", "cpu-sumfact",
                                  "cpu-parallel", "hybrid"))
     submit.add_argument("--priority", type=int, default=0,
@@ -212,12 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    from repro._compat import warn_deprecated
     from repro.api import RunConfig, run
 
-    engine = "legacy" if args.legacy_engine else args.engine
-    if engine is not None:
-        warn_deprecated("--engine/--legacy-engine", stacklevel=2)
     cfg = RunConfig(
         dim=args.dim,
         order=args.order,
@@ -226,7 +216,6 @@ def _cmd_run(args) -> int:
         max_steps=args.max_steps,
         cfl=args.cfl,
         integrator=args.integrator,
-        engine=engine or "fused",
         workers=args.workers,
         backend=args.backend,
         hybrid_device=args.hybrid_device,
@@ -278,7 +267,7 @@ def _cmd_run(args) -> int:
         print(f"wrote {report.vtk_path}")
     if report.checkpoint_path is not None:
         print(f"wrote {report.checkpoint_path}")
-    if args.workers > 0:
+    if report.executor_workers is not None:
         w = result.workload
         print(f"phase wall time: force {w.wall_force_s:.3f}s  cg {w.wall_cg_s:.3f}s  "
               f"other {w.wall_other_s:.3f}s  ({report.executor_workers} workers)")
@@ -537,12 +526,13 @@ def _cmd_serve(args) -> int:
     if args.workers < 0:
         raise ConfigError("workers must be non-negative")
     if args.strict_journal:
-        from repro.service import JobJournal
+        from repro.service import JobJournal, recover
 
-        # Strict pre-flight: a corrupt line fails the serve up front
-        # (typed JournalCorruptionError -> exit code 3 in main) instead
-        # of being skipped with a warning during recovery.
-        JobJournal(args.journal, strict=True)
+        # Strict pre-flight: a corrupt line, or a submit record that no
+        # longer describes a valid job, fails the serve up front (typed
+        # JournalCorruptionError -> exit code 3 in main) instead of
+        # being skipped with a warning during recovery.
+        recover(JobJournal(args.journal, strict=True))
     fleet = SimulationFleet(
         FleetConfig(workers=args.workers),
         journal_path=args.journal,
@@ -571,7 +561,7 @@ _ERROR_HINTS = {
         "re-run without --strict-tuning-cache to discard the corrupt "
         "cache and retune",
     "JournalCorruptionError":
-        "re-run without --strict-journal to skip corrupt lines",
+        "re-run without --strict-journal to skip corrupt records",
 }
 
 

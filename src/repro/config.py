@@ -1,14 +1,11 @@
 """`RunConfig`: the one frozen configuration for a whole run.
 
-Three PRs of growth left four overlapping entry points
-(`LagrangianHydroSolver`, `DistributedLagrangianSolver`,
-`ResilientDriver`, the CLI), each with its own spelling of the same
-knobs. `RunConfig` consolidates them: solver choice (serial /
-distributed), engine (fused / legacy), zone-parallel workers,
-resilience, and telemetry all come from this single immutable dataclass,
-consumed by `repro.api.run`. The legacy constructors (`SolverOptions`,
-direct `ResilientDriver` use) keep working as deprecation shims that
-route through this type — see the migration table in README.md.
+Every entry point — `LagrangianHydroSolver`, `repro.api.run`, the
+`ResilientDriver` the facade assembles, the service fleet and the CLI —
+reads its knobs from this single immutable dataclass: the execution
+backend (and, for `cpu-parallel`, its worker count), simulated ranks,
+resilience, and telemetry. The solver stores the config it is given as
+`solver.config` and reads its fields directly.
 
 This module stays import-light (stdlib only) so every layer can depend
 on it without cycles.
@@ -16,20 +13,12 @@ on it without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
-# Historical import site: the suppress machinery moved to
-# `repro._compat` when the shims were consolidated; these names keep
-# working for anything that imported them from here.
-from repro._compat import (  # noqa: F401  (re-exported)
-    deprecations_suppressed as _deprecations_suppressed,
-    internal_construction as _internal_construction,
-)
 from repro.errors import ConfigError
 
 __all__ = ["RunConfig", "validate_order", "MAX_ORDER"]
 
-_ENGINES = ("fused", "legacy")
 _INTEGRATORS = ("rk2avg", "euler", "rk4")
 _BACKENDS = ("cpu-serial", "cpu-fused", "cpu-sumfact", "cpu-parallel", "hybrid")
 # Supported kinematic orders: the Qk-Qk-1 pairing needs k >= 1, and the
@@ -74,16 +63,15 @@ class RunConfig:
     `pcg_maxiter` apply to the ranks' distributed PCG (`ranks` > 0);
     the serial momentum solve is direct.
 
-    Execution: `backend` is the unified policy selector — "cpu-serial"
+    Execution: `backend` is the one policy selector — "cpu-serial"
     (legacy reference engine), "cpu-fused" (zero-allocation hot path,
     the default), "cpu-sumfact" (matrix-free sum-factorization engine,
     O(order^{d+1}) per zone), "cpu-parallel" (shared-memory
-    zone-parallel executor) or "hybrid" (fused execution priced as a
-    CPU/GPU zone split, with in-band tuning via `repro.sched`). `engine` / `workers` are the
-    deprecated spellings and resolve into a backend when `backend` is
-    None (see `resolved_backend`); `ranks` > 0 wraps the resolved
-    backend in the simulated-MPI distributed backend (composable with
-    every node backend), and `overlap` toggles whether the
+    zone-parallel executor over `workers` processes; 0 = all cores) or
+    "hybrid" (fused execution priced as a CPU/GPU zone split, with
+    in-band tuning via `repro.sched`). `ranks` > 0 wraps the backend in
+    the simulated-MPI distributed backend (composable with every node
+    backend), and `overlap` toggles whether the
     interface-dof exchange is priced as hidden under interior-zone
     computation. `hybrid_device` names the
     simulated GPU pricing the hybrid split, `tuning_cache` a JSON path
@@ -114,7 +102,8 @@ class RunConfig:
     energy_every: int = 1
     record_dt_history: bool = True
     # execution
-    engine: str = "fused"
+    backend: str = "cpu-fused"
+    # Worker processes for backend="cpu-parallel" (0 = all cores).
     workers: int = 0
     ranks: int = 0
     overlap: bool = True
@@ -128,7 +117,6 @@ class RunConfig:
     # grows to 8 ranks after step 10 and shrinks to 3 after step 20
     # (deterministic repartition; only meaningful with ranks > 0).
     rank_schedule: str | None = None
-    backend: str | None = None
     hybrid_device: str = "K20"
     tuning_cache: str | None = None
     tune_period_steps: int = 40
@@ -166,10 +154,6 @@ class RunConfig:
 
     def __post_init__(self):
         validate_order(self.order)
-        if self.engine not in _ENGINES:
-            raise ConfigError(
-                f"unknown engine '{self.engine}' (choose from {_ENGINES})"
-            )
         if self.integrator not in _INTEGRATORS:
             raise ConfigError(
                 f"unknown integrator '{self.integrator}' "
@@ -184,22 +168,18 @@ class RunConfig:
             )
         if self.rank_schedule and self.ranks < 1:
             raise ConfigError("rank_schedule requires ranks >= 1")
-        if self.backend is not None:
-            if self.backend not in _BACKENDS:
-                raise ConfigError(
-                    f"unknown backend '{self.backend}' "
-                    f"(choose from {_BACKENDS})"
-                )
-            if self.workers > 0 and self.backend != "cpu-parallel":
-                raise ConfigError(
-                    f"workers={self.workers} conflicts with "
-                    f"backend='{self.backend}' (workers imply cpu-parallel)"
-                )
-            if self.engine == "legacy" and self.backend != "cpu-serial":
-                raise ConfigError(
-                    f"engine='legacy' conflicts with backend="
-                    f"'{self.backend}' (the legacy engine is cpu-serial)"
-                )
+        if self.backend not in _BACKENDS:
+            raise ConfigError(
+                f"unknown backend {self.backend!r} "
+                f"(choose from {_BACKENDS})"
+            )
+        if self.workers > 0 and self.backend != "cpu-parallel":
+            raise ConfigError(
+                f"workers={self.workers} conflicts with "
+                f"backend='{self.backend}' (hint: workers size the "
+                f"cpu-parallel pool; pass --backend cpu-parallel "
+                f"--workers {self.workers})"
+            )
         if self.tune_period_steps < 1:
             raise ConfigError("tune_period_steps must be >= 1")
         if self.tuning_objective not in _TUNING_OBJECTIVES:
@@ -220,32 +200,15 @@ class RunConfig:
             raise ConfigError("sample_period_s must be positive")
 
     @property
-    def resolved_backend(self) -> str:
-        """The effective execution policy.
-
-        An explicit `backend` wins; otherwise the deprecated knobs
-        resolve exactly as they always behaved: `workers` > 0 means the
-        zone-parallel executor, `engine="legacy"` the reference engine,
-        and everything else the fused default.
-        """
-        if self.backend is not None:
-            return self.backend
-        if self.workers > 0:
-            return "cpu-parallel"
-        if self.engine == "legacy":
-            return "cpu-serial"
-        return "cpu-fused"
-
-    @property
     def resolved_execution(self) -> dict:
-        """The resolved `(ranks, backend, workers)` execution triple.
+        """The `(ranks, backend, workers)` execution triple.
 
         `backend` is the per-rank *node* policy when `ranks` > 0 (the
         distributed layer wraps it), the whole policy otherwise.
         """
         return {
             "ranks": self.ranks,
-            "backend": self.resolved_backend,
+            "backend": self.backend,
             "workers": self.workers,
         }
 
@@ -258,64 +221,6 @@ class RunConfig:
     def resilient(self) -> bool:
         """Whether the run goes through the `ResilientDriver`."""
         return bool(self.faults or self.checkpoint_every or self.offload_device)
-
-    def to_solver_options(self):
-        """The `SolverOptions` equivalent (no deprecation warning)."""
-        from repro.hydro.solver import SolverOptions
-
-        with _internal_construction():
-            return SolverOptions(
-                quad_points_1d=self.quad_points_1d,
-                cfl=self.cfl,
-                integrator=self.integrator,
-                pcg_tol=self.pcg_tol,
-                pcg_maxiter=self.pcg_maxiter,
-                max_steps=self.max_steps if self.max_steps is not None else 100_000,
-                energy_every=self.energy_every,
-                record_dt_history=self.record_dt_history,
-                fused=self.engine == "fused",
-                workers=self.workers,
-                ranks=self.ranks,
-                overlap=self.overlap,
-                rank_step=self.rank_step,
-                rank_schedule=self.rank_schedule,
-                backend=self.resolved_backend,
-                hybrid_device=self.hybrid_device,
-                tuning_cache=self.tuning_cache,
-                tune_period_steps=self.tune_period_steps,
-                tuning_strict=self.tuning_strict,
-                tuning_objective=self.tuning_objective,
-                tuning_strategy=self.tuning_strategy,
-            )
-
-    @classmethod
-    def from_solver_options(cls, options, **overrides) -> "RunConfig":
-        """Lift legacy `SolverOptions` into a `RunConfig` (shim path)."""
-        mapped = dict(
-            quad_points_1d=options.quad_points_1d,
-            cfl=options.cfl,
-            integrator=options.integrator,
-            pcg_tol=options.pcg_tol,
-            pcg_maxiter=options.pcg_maxiter,
-            max_steps=options.max_steps,
-            energy_every=options.energy_every,
-            record_dt_history=options.record_dt_history,
-            engine="fused" if options.fused else "legacy",
-            workers=options.workers,
-            ranks=getattr(options, "ranks", 0),
-            overlap=getattr(options, "overlap", True),
-            rank_step=getattr(options, "rank_step", "auto"),
-            rank_schedule=getattr(options, "rank_schedule", None),
-            backend=options.backend,
-            hybrid_device=options.hybrid_device,
-            tuning_cache=options.tuning_cache,
-            tune_period_steps=options.tune_period_steps,
-            tuning_strict=getattr(options, "tuning_strict", False),
-            tuning_objective=getattr(options, "tuning_objective", "time"),
-            tuning_strategy=getattr(options, "tuning_strategy", "local"),
-        )
-        mapped.update(overrides)
-        return cls(**mapped)
 
     def replace(self, **changes) -> "RunConfig":
         """A copy with the given fields changed (frozen-friendly)."""

@@ -16,12 +16,11 @@ without re-running physics.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro._compat import warn_deprecated
-from repro.config import RunConfig, _internal_construction
+from repro.config import RunConfig
 from repro.fem.geometry import GeometryEvaluator
 from repro.fem.quadrature import tensor_quadrature
 from repro.fem.spaces import H1Space, L2Space
@@ -35,110 +34,7 @@ from repro.hydro.momentum import MomentumSolver
 from repro.hydro.state import HydroState
 from repro.hydro.timestep import TimestepController
 
-__all__ = ["SolverOptions", "RunResult", "WorkloadRecorder", "LagrangianHydroSolver"]
-
-
-def resolve_backend_name(options) -> str:
-    """Map (possibly legacy-spelled) options to a node-backend name.
-
-    With `ranks` > 0 this names the per-rank *node* backend the
-    distributed layer wraps; otherwise the whole execution policy.
-    """
-    if options.executor not in ("serial", "parallel"):
-        raise ValueError(
-            f"unknown executor '{options.executor}' "
-            "(choose 'serial' or 'parallel')"
-        )
-    if options.backend is not None:
-        return options.backend
-    if options.workers > 0 or options.executor == "parallel":
-        return "cpu-parallel"
-    if not options.fused:
-        return "cpu-serial"
-    return "cpu-fused"
-
-
-def backend_kwargs(options) -> dict:
-    """Constructor kwargs for the resolved node backend."""
-    name = resolve_backend_name(options)
-    if name == "cpu-parallel":
-        return {"workers": options.workers or None}
-    if name == "hybrid":
-        return {"device": options.hybrid_device}
-    return {}
-
-
-@dataclass
-class SolverOptions:
-    """Tunable solver knobs (deprecated shim — use `repro.api.RunConfig`).
-
-    Direct construction keeps working but routes through the unified
-    `RunConfig` (stored as `self.config`) and emits a
-    `DeprecationWarning`: new code should call
-    `repro.api.run(problem, RunConfig(engine=..., workers=...))`, or
-    pass a `RunConfig` straight to `LagrangianHydroSolver`. The full
-    field mapping is documented in README.md ("Migrating to repro.api").
-
-    quad_points_1d : quadrature points per dimension (None = the
-        problem's default, 2k, which reproduces the paper's shapes).
-    pcg_tol : momentum PCG relative tolerance. The tight default is what
-        lets total energy conservation reach machine precision. PCG runs
-        only on ranks (`ranks` > 0); the serial momentum solve is direct.
-    """
-
-    quad_points_1d: int | None = None
-    cfl: float | None = None
-    integrator: str = "rk2avg"
-    pcg_tol: float = 1e-14
-    pcg_maxiter: int | None = None
-    max_steps: int = 100_000
-    energy_every: int = 1
-    record_dt_history: bool = True
-    # Hot-path controls (deprecated spellings): `fused` selects the
-    # zero-allocation workspace engine; `executor`/`workers` enable the
-    # shared-memory zone-parallel corner-force executor. All three now
-    # route into the unified `backend` selection below.
-    fused: bool = True
-    executor: str = "serial"
-    workers: int = 0
-    # Unified execution policy: one of repro.backends.BACKEND_NAMES, or
-    # None to resolve from the legacy knobs (workers>0 -> cpu-parallel,
-    # fused=False -> cpu-serial, else cpu-fused).
-    backend: str | None = None
-    # Simulated-MPI layer: ranks > 0 wraps the resolved backend in the
-    # distributed backend (one node backend per rank); `overlap`
-    # controls whether the interface-dof exchange hides under
-    # interior-zone evaluation (pricing only, physics identical).
-    ranks: int = 0
-    overlap: bool = True
-    # Rank-stepping mode ("auto"/"loop"/"vectorized") and the optional
-    # elastic-rank schedule "step:ranks,..." (see RunConfig).
-    rank_step: str = "auto"
-    rank_schedule: str | None = None
-    # Hybrid-backend knobs: the simulated device pricing the GPU side,
-    # the tuning-cache path for warm starts, and the sampling-period
-    # length of the in-band scheduler.
-    hybrid_device: str = "K20"
-    tuning_cache: str | None = None
-    tune_period_steps: int = 40
-    # Strict tuning-cache mode: corrupt cache files raise the typed
-    # TuningCacheCorruptionError instead of warning + starting fresh.
-    tuning_strict: bool = False
-    # In-band tuning engine: the objective the campaign minimizes and
-    # the search strategy that walks the joint configuration space.
-    tuning_objective: str = "time"
-    tuning_strategy: str = "local"
-
-    def __post_init__(self):
-        warn_deprecated("SolverOptions")
-        # Route through the consolidated config: this is the canonical
-        # form the facade and the RunManifest see.
-        self.config = RunConfig.from_solver_options(self)
-
-    @classmethod
-    def from_config(cls, config: RunConfig) -> "SolverOptions":
-        """Internal lowering of a `RunConfig` (no deprecation warning)."""
-        return config.to_solver_options()
+__all__ = ["RunResult", "WorkloadRecorder", "LagrangianHydroSolver"]
 
 
 @dataclass
@@ -185,13 +81,13 @@ class RunResult:
 class LagrangianHydroSolver:
     """High-order FEM Lagrangian hydrodynamics on a fixed topology mesh.
 
-    `options` accepts the unified `RunConfig` (preferred), the legacy
-    `SolverOptions`, or None for defaults. An optional
-    `repro.telemetry.Tracer` makes the solver emit step/phase/kernel
-    spans; without one (the default), tracing code never runs.
+    `config` is the run's `RunConfig` (None for the defaults), kept as
+    `self.config`. An optional `repro.telemetry.Tracer` makes the solver
+    emit step/phase/kernel spans; without one (the default), tracing
+    code never runs.
     """
 
-    def __init__(self, problem, options: SolverOptions | RunConfig | None = None,
+    def __init__(self, problem, config: RunConfig | None = None,
                  tracer=None, backend=None, arena: Arena | None = None):
         self.problem = problem
         # The pool allocator behind every workspace this solver creates
@@ -199,18 +95,14 @@ class LagrangianHydroSolver:
         # warm pool's — lets a retired solver's blocks satisfy the next
         # solver's leases even across mesh-size changes.
         self.arena = arena if arena is not None else Arena(name="solver")
-        if isinstance(options, RunConfig):
-            options = options.to_solver_options()
-        elif options is None:
-            with _internal_construction():
-                options = SolverOptions()
-        self.options = options
+        self.config = cfg = config if config is not None else RunConfig()
+        self.max_steps = cfg.max_steps if cfg.max_steps is not None else 100_000
         self.tracer = tracer if (tracer is not None and tracer.enabled) else None
         mesh = problem.mesh
         k = problem.kinematic_order
         self.kinematic = H1Space(mesh, k)
         self.thermodynamic = L2Space(mesh, problem.thermodynamic_order)
-        npts = self.options.quad_points_1d or problem.quad_points_1d
+        npts = cfg.quad_points_1d or problem.quad_points_1d
         self.quad = tensor_quadrature(mesh.dim, npts)
 
         # Initial geometry and fields.
@@ -227,28 +119,30 @@ class LagrangianHydroSolver:
         # The execution backend owns engine construction: it calls back
         # into `_make_engine` for the flavour it needs and supplies the
         # force evaluator the integrator will run. `ranks` > 0 wraps the
-        # resolved node backend in the simulated-MPI distributed layer;
+        # configured node backend in the simulated-MPI distributed layer;
         # a pre-built backend instance wins over both.
         from repro.backends import make_backend
 
+        node_kwargs = {}
+        if cfg.backend == "cpu-parallel":
+            node_kwargs = {"workers": cfg.workers or None}
+        elif cfg.backend == "hybrid":
+            node_kwargs = {"device": cfg.hybrid_device}
         if backend is not None:
             self.backend = backend
-        elif self.options.ranks > 0:
+        elif cfg.ranks > 0:
             from repro.backends.distributed import DistributedBackend
 
             self.backend = DistributedBackend(
-                self.options.ranks,
-                node=self._resolve_backend_name(),
-                node_kwargs=self._backend_kwargs(),
-                overlap=self.options.overlap,
-                rank_step=getattr(self.options, "rank_step", "auto"),
-                rank_schedule=getattr(self.options, "rank_schedule", None),
+                cfg.ranks,
+                node=cfg.backend,
+                node_kwargs=node_kwargs,
+                overlap=cfg.overlap,
+                rank_step=cfg.rank_step,
+                rank_schedule=cfg.rank_schedule,
             )
         else:
-            self.backend = make_backend(
-                self._resolve_backend_name(),
-                **self._backend_kwargs(),
-            )
+            self.backend = make_backend(cfg.backend, **node_kwargs)
         self.backend.attach(self)
         self.engine = self.backend.engine
 
@@ -264,12 +158,12 @@ class LagrangianHydroSolver:
 
         self.bc = problem.boundary_conditions(self.kinematic)
         self.momentum = MomentumSolver(
-            self.mass_v, self.bc, tol=self.options.pcg_tol, maxiter=self.options.pcg_maxiter
+            self.mass_v, self.bc, tol=cfg.pcg_tol, maxiter=cfg.pcg_maxiter
         )
         from repro.runtime.instrumentation import PhaseTimers
 
         self.integrator = make_integrator(
-            self.options.integrator, self.engine, self.momentum, self.mass_e,
+            cfg.integrator, self.engine, self.momentum, self.mass_e,
             timers=PhaseTimers(tracer=self.tracer),
         )
         # Phase timers shared with the integrator: "force" and "cg" are
@@ -336,21 +230,19 @@ class LagrangianHydroSolver:
             from repro.sched import OnlineScheduler, SchedulerConfig
             from repro.tuning.cache import TuningCache
 
+            cfg = self.config
             cache = (
-                TuningCache(
-                    self.options.tuning_cache,
-                    strict=getattr(self.options, "tuning_strict", False),
-                )
-                if self.options.tuning_cache
+                TuningCache(cfg.tuning_cache, strict=cfg.tuning_strict)
+                if cfg.tuning_cache
                 else None
             )
             self.scheduler = OnlineScheduler(
                 target,
                 cache=cache,
                 config=SchedulerConfig(
-                    steps_per_period=self.options.tune_period_steps,
-                    objective=getattr(self.options, "tuning_objective", "time"),
-                    strategy=getattr(self.options, "tuning_strategy", "local"),
+                    steps_per_period=cfg.tune_period_steps,
+                    objective=cfg.tuning_objective,
+                    strategy=cfg.tuning_strategy,
                 ),
                 tracer=self.tracer,
             )
@@ -365,7 +257,7 @@ class LagrangianHydroSolver:
         self._last_dt_est = 0.0
 
         self.controller = TimestepController(
-            cfl=self.options.cfl if self.options.cfl is not None else problem.default_cfl
+            cfl=self.config.cfl if self.config.cfl is not None else problem.default_cfl
         )
         self.workload = WorkloadRecorder(
             nzones=mesh.nzones,
@@ -378,13 +270,6 @@ class LagrangianHydroSolver:
         self.timers.reset()
 
     # -- Execution backend -------------------------------------------------------
-
-    def _resolve_backend_name(self) -> str:
-        """Map the (possibly legacy-spelled) options to a backend name."""
-        return resolve_backend_name(self.options)
-
-    def _backend_kwargs(self) -> dict:
-        return backend_kwargs(self.options)
 
     def _make_engine(self, fused: bool, sumfact: bool = False) -> ForceEngine:
         """Build one `ForceEngine` flavour (backend construction hook)."""
@@ -441,7 +326,7 @@ class LagrangianHydroSolver:
             # momentum solve and the default RHS assembly.
             self.install_momentum(MomentumSolver(
                 self.mass_v, self.bc,
-                tol=self.options.pcg_tol, maxiter=self.options.pcg_maxiter,
+                tol=self.config.pcg_tol, maxiter=self.config.pcg_maxiter,
             ))
             self.integrator.assemble_fn = None
         old.close()
@@ -500,6 +385,20 @@ class LagrangianHydroSolver:
             raise RuntimeError("initial configuration is invalid")
         return self.controller.initialize(force.dt_est)
 
+    def resume_dt(self) -> float:
+        """The first dt of a march (`run`, or the `ResilientDriver`'s).
+
+        A solver carrying controller state (restored from a checkpoint,
+        or continuing a previous run) keeps its dt ramp — this is what
+        makes a restart reproduce the uninterrupted run bit-for-bit.
+        Otherwise the ramp starts from `initialize_dt`.
+        """
+        if self.controller.dt > 0 and self._last_dt_est > 0:
+            return self.controller.dt
+        dt = self.initialize_dt()
+        self._last_dt_est = dt / self.controller.cfl
+        return dt
+
     def step(self, dt: float) -> bool:
         """Attempt one step of size dt; returns acceptance.
 
@@ -556,17 +455,10 @@ class LagrangianHydroSolver:
 
     def _run_impl(self, t_final: float | None, max_steps: int | None) -> RunResult:
         t_final = t_final if t_final is not None else self.problem.default_t_final
-        max_steps = max_steps if max_steps is not None else self.options.max_steps
+        max_steps = max_steps if max_steps is not None else self.max_steps
         energy_history = [self.energies()]
         dt_history: list[float] = []
-        # A solver carrying controller state (restored from a checkpoint,
-        # or continuing a previous run) keeps its dt ramp — this is what
-        # makes a restart reproduce the uninterrupted run bit-for-bit.
-        if self.controller.dt > 0 and getattr(self, "_last_dt_est", 0.0) > 0:
-            dt = self.controller.dt
-        else:
-            dt = self.initialize_dt()
-            self._last_dt_est = dt / self.controller.cfl
+        dt = self.resume_dt()
         steps = 0
         while self.state.t < t_final - 1e-15 and steps < max_steps:
             dt = self.controller.propose(self._last_dt_est, self.state.t, t_final)
@@ -585,9 +477,9 @@ class LagrangianHydroSolver:
             backend_on_step = getattr(self.backend, "on_step", None)
             if backend_on_step is not None:
                 backend_on_step(self.workload.steps)
-            if self.options.record_dt_history:
+            if self.config.record_dt_history:
                 dt_history.append(dt)
-            if steps % self.options.energy_every == 0:
+            if steps % self.config.energy_every == 0:
                 energy_history.append(self.energies())
         if self.scheduler is not None:
             self.scheduler.finalize()

@@ -24,8 +24,9 @@ them). `compute_chunked` runs the identical chunked loop serially so
 tests can assert bitwise equality directly. The global dt is the min
 over chunk minima (min is exactly associative).
 
-The executor is wired into the solver via `SolverOptions(workers=N)`
-(or `executor="parallel"`) and the CLI's `repro run --workers N`.
+The executor is wired into the solver via
+`RunConfig(backend="cpu-parallel", workers=N)` and the CLI's
+`repro run --backend cpu-parallel --workers N`.
 """
 
 from __future__ import annotations

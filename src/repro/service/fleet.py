@@ -132,7 +132,7 @@ def _warm_key(spec: JobSpec) -> tuple:
     return (
         spec.problem, cfg.dim, cfg.order, cfg.zones, cfg.integrator,
         cfg.quad_points_1d, cfg.cfl, cfg.pcg_tol, cfg.pcg_maxiter,
-        cfg.resolved_backend, cfg.workers, cfg.hybrid_device,
+        cfg.backend, cfg.workers, cfg.hybrid_device,
         cfg.tuning_cache, cfg.tune_period_steps, cfg.energy_every,
         cfg.record_dt_history,
         cfg.ranks, cfg.overlap, cfg.rank_step, cfg.rank_schedule,
@@ -405,7 +405,7 @@ class SimulationFleet:
         cfg = config or RunConfig()
         if overrides:
             cfg = cfg.replace(**overrides)
-        if self.tuning_cache and cfg.resolved_backend == "hybrid" \
+        if self.tuning_cache and cfg.backend == "hybrid" \
                 and not cfg.tuning_cache:
             cfg = cfg.replace(tuning_cache=str(self.tuning_cache))
         spec = JobSpec(
@@ -560,7 +560,7 @@ class SimulationFleet:
                 self._event("job_cached", job_id=spec.job_id)
                 return
         retry = self.config.retry
-        requested = spec.config.resolved_backend
+        requested = spec.config.backend
         effective, degraded, breaker = self.breakers.route(requested)
         cfg = spec.config
         if degraded:
@@ -621,7 +621,7 @@ class SimulationFleet:
         handle._finish(JobResult(
             job_id=spec.job_id, status="failed", problem=spec.problem,
             attempts=spec.max_attempts, retries=retries, timeouts=timeouts,
-            backend=cfg.resolved_backend, degraded=degraded,
+            backend=cfg.backend, degraded=degraded,
             wall_s=time.monotonic() - started, error=last_error,
         ))
         self._event("job_failed", job_id=spec.job_id, error=last_error)
@@ -671,7 +671,7 @@ class SimulationFleet:
             energy_initial=float(result.energy_history[0].total),
             energy_final=float(result.energy_history[-1].total),
             state=result.state,
-            backend=cfg.resolved_backend,
+            backend=cfg.backend,
             warm=warm,
             tuning=_tuning_info(getattr(solver, "scheduler", None)),
         )
@@ -694,7 +694,7 @@ class SimulationFleet:
             energy_initial=float(report.result.energy_history[0].total),
             energy_final=float(report.result.energy_history[-1].total),
             state=report.state,
-            backend=cfg.resolved_backend,
+            backend=cfg.backend,
             hybrid_failed=bool(recovery is not None and recovery.degraded_final),
             joules=joules,
             tuning=_tuning_info(report.scheduler),

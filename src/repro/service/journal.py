@@ -9,7 +9,9 @@ The fleet's durability story, in the same hardening idiom as
   before the action it describes proceeds. A crash can tear at most
   the final line, and a torn or bit-flipped line is *detected* on
   replay — skipped with a warning in lenient mode, raised as the typed
-  `JournalCorruptionError` in strict mode — never silently trusted.
+  `JournalCorruptionError` in strict mode — never silently trusted. A
+  submit record that verifies but no longer describes a valid job (a
+  config field this version does not know) is handled the same way.
 * `recover` — folds a replayed journal into the fleet's restart state:
   jobs with a `submit` record and no terminal record are pending again
   (a job that was mid-run when the process died re-runs — it never
@@ -161,6 +163,7 @@ def recover(journal: JobJournal) -> RecoveredState:
     started: set[str] = set()
     terminal: dict[str, str] = {}
     completed: dict[str, str] = {}
+    invalid = 0
     for record in journal.replay():
         rtype = record.get("type")
         job_id = record.get("job_id") or record.get("job", {}).get("job_id")
@@ -168,11 +171,15 @@ def recover(journal: JobJournal) -> RecoveredState:
             try:
                 spec = JobSpec.from_dict(record["job"])
             except (KeyError, TypeError, ValueError) as exc:
-                warnings.warn(
-                    f"journal submit record seq={record.get('seq')} does not "
-                    f"describe a valid job ({exc}); skipping it",
-                    stacklevel=2,
+                message = (
+                    f"journal {journal.path} submit record "
+                    f"seq={record.get('seq')} does not describe a valid "
+                    f"job ({exc})"
                 )
+                if journal.strict:
+                    raise JournalCorruptionError(message) from exc
+                invalid += 1
+                warnings.warn(f"{message}; skipping it", stacklevel=2)
                 continue
             specs[spec.job_id] = spec
             order.append(spec.job_id)
@@ -197,6 +204,7 @@ def recover(journal: JobJournal) -> RecoveredState:
         "interrupted": len(state.interrupted),
         "terminal": len(terminal),
         "corrupt_lines": journal.recovered_corrupt_lines,
+        "invalid_submits": invalid,
     }
     return state
 

@@ -167,13 +167,23 @@ class TestErrorPaths:
         assert "Traceback" not in err
 
     def test_workers_with_hybrid_backend_misuse(self, capsys):
-        rc = main(["run", "sedov", "--zones", "3", "--t-final", "0.01",
-                   "--workers", "4", "--backend", "hybrid"])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "workers=4 conflicts with backend='hybrid'" in err
-        assert len(err.strip().splitlines()) == 1
-        assert "Traceback" not in err
+        # --workers only sizes the cpu-parallel pool: with any other
+        # backend, the default included, it is a config error whose
+        # one-line hint names the spelling that works.
+        for flags, expected in (
+            (["--workers", "4", "--backend", "hybrid"],
+             "workers=4 conflicts with backend='hybrid'"),
+            (["--workers", "2"],
+             "workers=2 conflicts with backend='cpu-fused'"),
+        ):
+            rc = main(["run", "sedov", "--zones", "3", "--t-final", "0.01",
+                       *flags])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert expected in err
+            assert "--backend cpu-parallel" in err
+            assert len(err.strip().splitlines()) == 1
+            assert "Traceback" not in err
 
     def test_corrupt_tuning_cache_lenient_runs(self, tmp_path, capsys):
         cache = tmp_path / "cache.json"
@@ -244,6 +254,28 @@ class TestServeSubmit:
         err = capsys.readouterr().err
         assert "re-run without --strict-journal" in err
         assert "Traceback" not in err
+
+    def test_serve_stale_submit_strict_exits_3(self, tmp_path, capsys):
+        # A submit record that verifies but names a config field this
+        # version does not have is corruption under --strict-journal,
+        # and a counted, warned skip without it.
+        from repro.config import RunConfig
+        from repro.service import JobJournal, JobSpec
+
+        journal = tmp_path / "journal.jsonl"
+        job = JobSpec("sedov", RunConfig(zones=3), job_id="old").to_dict()
+        job["config"]["engine"] = "fused"
+        JobJournal(journal).append("submit", job=job)
+        rc = main(["serve", "--journal", str(journal), "--workers", "0",
+                   "--strict-journal"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "does not describe a valid job" in err
+        assert "re-run without --strict-journal" in err
+        assert len(err.strip().splitlines()) == 1
+        with pytest.warns(UserWarning, match="does not describe a valid job"):
+            rc = main(["serve", "--journal", str(journal), "--workers", "0"])
+        assert rc == 0
 
     def test_serve_corrupt_journal_lenient_runs(self, tmp_path, capsys):
         journal = tmp_path / "journal.jsonl"

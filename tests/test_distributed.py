@@ -10,8 +10,6 @@ The `test_smoke_*` subset (`pytest -k smoke`) is the fast
 composition-matrix check referenced from ROADMAP.md.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -24,11 +22,10 @@ from repro import (
 from repro.api import RunConfig, run
 from repro.backends import DistributedBackend
 from repro.backends.distributed import DistributedMomentumSolver
-from repro.runtime.distributed import DistributedLagrangianSolver
 from repro.runtime.mpi_sim import CommCostModel, SimulatedComm
 
 
-def make_solver(nranks=4, backend=None, zones=4, **cfg_kw):
+def make_solver(nranks=4, backend="cpu-fused", zones=4, **cfg_kw):
     """A `LagrangianHydroSolver` carrying the distributed backend."""
     problem = SedovProblem(dim=2, order=2, zones_per_dim=zones)
     cfg = RunConfig(ranks=nranks, backend=backend, **cfg_kw)
@@ -91,8 +88,8 @@ class TestCompositionMatrix:
 
     def test_smoke_workers_compose_with_ranks(self):
         """The old workers-xor-ranks restriction is gone."""
-        cfg = RunConfig(workers=2, ranks=2, zones=4, max_steps=3)
-        assert cfg.resolved_backend == "cpu-parallel"
+        cfg = RunConfig(backend="cpu-parallel", workers=2, ranks=2, zones=4,
+                        max_steps=3)
         report = run("sod", cfg)
         assert report.steps == 3
 
@@ -442,24 +439,24 @@ class TestElasticRanks:
             solver.backend.resize_ranks(0)
 
 
-class TestDeprecatedShim:
-    def test_shim_warns_and_shares_one_solver(self):
-        with pytest.warns(DeprecationWarning, match="DistributedLagrangianSolver"):
-            dist = DistributedLagrangianSolver(
-                SedovProblem(dim=2, order=2, zones_per_dim=4), nranks=2
-            )
-        # Satellite fix: no private second solver — assembly runs once.
-        assert dist.serial is dist.solver
-        assert dist.nranks == 2
-        assert dist.comm is dist.backend.comm
+class TestExplicitBackend:
+    def test_explicit_backend_shares_one_solver(self):
+        backend = DistributedBackend(2)
+        solver = LagrangianHydroSolver(
+            SedovProblem(dim=2, order=2, zones_per_dim=4), backend=backend
+        )
+        # One solver carries the distributed machinery: assembly runs once.
+        assert solver.backend is backend
+        assert solver.momentum is backend.momentum
+        assert backend.nranks == 2
+        assert backend.comm is not None
 
-    def test_shim_run_matches_composed_path(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            dist = DistributedLagrangianSolver(
-                SedovProblem(dim=2, order=2, zones_per_dim=4), nranks=2
-            )
-        res_shim = dist.run(t_final=0.05)
-        res_new = run("sedov", RunConfig(zones=4, ranks=2, t_final=0.05)).result
-        assert res_shim.steps == res_new.steps
-        assert np.array_equal(res_shim.state.v, res_new.state.v)
+    def test_explicit_backend_run_matches_config_path(self):
+        solver = LagrangianHydroSolver(
+            SedovProblem(dim=2, order=2, zones_per_dim=4),
+            backend=DistributedBackend(2),
+        )
+        res_explicit = solver.run(t_final=0.05)
+        res_config = run("sedov", RunConfig(zones=4, ranks=2, t_final=0.05)).result
+        assert res_explicit.steps == res_config.steps
+        assert np.array_equal(res_explicit.state.v, res_config.state.v)

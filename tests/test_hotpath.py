@@ -27,7 +27,8 @@ from repro.fem.quadrature import tensor_quadrature
 from repro.fem.spaces import H1Space, L2Space
 from repro.hydro.corner_force import ForceEngine
 from repro.hydro.eos import GammaLawEOS
-from repro.hydro.solver import LagrangianHydroSolver, SolverOptions
+from repro.config import RunConfig
+from repro.hydro.solver import LagrangianHydroSolver
 from repro.hydro.state import HydroState
 from repro.hydro.workspace import Workspace
 from repro.problems import SodProblem
@@ -130,9 +131,9 @@ class TestEngineParity:
 
     def test_parallel_solver_run_matches_serial(self):
         problem = SodProblem()
-        with LagrangianHydroSolver(problem, SolverOptions(workers=2)) as par:
+        with LagrangianHydroSolver(problem, RunConfig(backend="cpu-parallel", workers=2)) as par:
             rp = par.run(max_steps=4)
-        serial = LagrangianHydroSolver(problem, SolverOptions())
+        serial = LagrangianHydroSolver(problem, RunConfig())
         rs = serial.run(max_steps=4)
         assert rp.steps == rs.steps
         np.testing.assert_allclose(rp.state.v, rs.state.v, rtol=0, atol=1e-12)
@@ -188,7 +189,7 @@ class TestAllocationDiscipline:
 
     def test_solver_steps_no_persistent_allocations(self):
         solver = LagrangianHydroSolver(
-            SodProblem(), SolverOptions(energy_every=10**9, record_dt_history=False)
+            SodProblem(), RunConfig(energy_every=10**9, record_dt_history=False)
         )
         dt0 = solver.initialize_dt()
         solver._last_dt_est = dt0 / solver.controller.cfl
@@ -255,7 +256,7 @@ class TestSumfactAllocationDiscipline:
     def test_sumfact_solver_steps_no_persistent_allocations(self):
         solver = LagrangianHydroSolver(
             SodProblem(),
-            SolverOptions(backend="cpu-sumfact", energy_every=10**9,
+            RunConfig(backend="cpu-sumfact", energy_every=10**9,
                           record_dt_history=False),
         )
         dt0 = solver.initialize_dt()
@@ -318,7 +319,7 @@ class TestGeometryCacheGuards:
 
 class TestPhaseMetering:
     def test_wall_other_is_populated_and_sums(self):
-        solver = LagrangianHydroSolver(SodProblem(), SolverOptions())
+        solver = LagrangianHydroSolver(SodProblem(), RunConfig())
         solver.run(max_steps=3)
         w = solver.workload
         assert w.wall_force_s > 0
@@ -345,17 +346,23 @@ class TestCli:
     def test_run_with_workers(self, capsys):
         from repro.cli import main
 
-        rc = main(["run", "sod", "--workers", "2", "--max-steps", "3",
-                   "--t-final", "0.01"])
+        rc = main(["run", "sod", "--backend", "cpu-parallel", "--workers", "2",
+                   "--max-steps", "3", "--t-final", "0.01"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "phase wall time" in out and "2 workers" in out
+        # Without --workers the pool takes every core and still reports.
+        rc = main(["run", "sod", "--backend", "cpu-parallel",
+                   "--max-steps", "3", "--t-final", "0.01"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "phase wall time" in out and " workers)" in out
 
     def test_workers_compose_with_ranks(self, capsys):
         from repro.cli import main
 
-        rc = main(["run", "sod", "--workers", "2", "--ranks", "2",
-                   "--max-steps", "1"])
+        rc = main(["run", "sod", "--backend", "cpu-parallel", "--workers", "2",
+                   "--ranks", "2", "--max-steps", "1"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "simulated MPI traffic" in out

@@ -50,7 +50,7 @@ MODULES = [
     "repro.tuning.parameters", "repro.tuning.autotuner", "repro.tuning.balance",
     "repro.tuning.cache",
     "repro.runtime.mpi_sim", "repro.runtime.groups", "repro.runtime.hybrid",
-    "repro.runtime.energy", "repro.runtime.distributed",
+    "repro.runtime.energy", "repro.backends.distributed",
     "repro.cluster.machines", "repro.cluster.scaling",
     "repro.analysis.profiles", "repro.analysis.report", "repro.analysis.convergence",
     "repro.analysis.roofline", "repro.analysis.exascale", "repro.analysis.riemann",
@@ -97,10 +97,21 @@ def test_top_level_quickstart_surface():
     """The README quickstart names must exist at the top level."""
     import repro
 
-    for name in ("SedovProblem", "LagrangianHydroSolver", "SolverOptions",
+    for name in ("SedovProblem", "LagrangianHydroSolver",
                  "TriplePointProblem", "NohProblem", "SaltzmanProblem",
                  "SodProblem", "RunConfig", "__version__"):
         assert hasattr(repro, name)
+
+
+def test_facade_path_is_warning_free():
+    """A distributed facade run emits no DeprecationWarning."""
+    import warnings
+
+    from repro.api import RunConfig, run
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        run("sedov", RunConfig(zones=3, t_final=0.01, ranks=2))
 
 
 def test_facade_surface():

@@ -10,6 +10,7 @@ journal itself.
 """
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -204,6 +205,30 @@ class TestJournal:
         assert [r["type"] for r in records] == ["complete"]
         with pytest.raises(JournalCorruptionError):
             JobJournal(path, strict=True)
+
+    @staticmethod
+    def _write_stale_submit(path):
+        """A hash-valid submit record whose config names a field
+        `RunConfig` does not have (`engine`, as in journals written
+        before that field was removed)."""
+        job = JobSpec("sedov", TINY, job_id="old").to_dict()
+        job["config"]["engine"] = "fused"
+        JobJournal(path).append("submit", job=job)
+
+    def test_invalid_submit_lenient_skips_and_counts(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        self._write_stale_submit(path)
+        with pytest.warns(UserWarning, match="does not describe a valid job"):
+            state = recover(JobJournal(path))
+        assert state.pending == []
+        assert state.counts["invalid_submits"] == 1
+        assert state.counts["corrupt_lines"] == 0
+
+    def test_invalid_submit_strict_raises(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        self._write_stale_submit(path)
+        with pytest.raises(JournalCorruptionError, match="seq=0"):
+            recover(JobJournal(path, strict=True))
 
     def test_recover_classifies_jobs(self, tmp_path):
         j = JobJournal(tmp_path / "j.jsonl")
@@ -410,6 +435,31 @@ class TestFleetSmoke:
             {"step": 2, "nranks": 8, "reason": "resize"}
         ]
         f2.shutdown(wait=False)
+
+    def test_smoke_kill_reaps_parallel_workers_and_shared_memory(self):
+        # A pooled cpu-parallel solver keeps its forked workers and its
+        # shared-memory segments warm between jobs; kill() must still
+        # reap every worker and unlink every segment the run created.
+        fleet = inline_fleet()
+        h = fleet.submit("sedov", RunConfig(
+            zones=8, t_final=1.0, max_steps=2,
+            backend="cpu-parallel", workers=2,
+        ))
+        fleet.process()
+        assert h.result.ok
+        [solver] = [s for stack in fleet._warm._pool.values() for s in stack]
+        pool = solver.executor._pool
+        pids = pool.pids
+        segments = [seg.name for seg in solver.executor._segments]
+        segments.append(pool._err_seg.name)
+        assert len(pids) == 2
+        assert all(os.path.exists(f"/dev/shm/{name}") for name in segments)
+
+        fleet.kill()
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert [n for n in segments if os.path.exists(f"/dev/shm/{n}")] == []
 
     def test_smoke_poll_and_handle_surface(self):
         fleet = inline_fleet()
