@@ -45,10 +45,11 @@ class _EngineBackend:
     def attach_node(self, solver, engine) -> None:
         """Bind as one rank's node backend under the distributed layer.
 
-        The engine is shared with the other ranks (per-zone-subset
-        evaluation never touches the fused workspace, so sharing is
-        safe) and node-level executors are skipped: under `ranks`, the
-        rank itself is the parallel unit.
+        The engine is shared with the other ranks. Sharing is safe:
+        `compute_local` evaluates each zone set in its own cached subset
+        workspace, never in the full-batch one, and the ranks' zone sets
+        are disjoint. Node-level executors are skipped: under `ranks`,
+        the rank itself is the parallel unit.
         """
         if self.engine is not None:
             raise RuntimeError(f"backend '{self.name}' is already attached")

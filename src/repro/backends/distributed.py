@@ -19,9 +19,9 @@ how the mass operator is applied:
   `CommLedger` exposed/hidden split moves.
 - time step: rank-local minima combined through `iallreduce_min`.
 - momentum PCG: the mass matrix applies as the group-sum of rank-local
-  operators (`DistributedMomentumSolver`). Ranks keep Jacobi-PCG while
-  the serial run solves directly: each iteration's group sum is the
-  reduction the `CommLedger` prices for the paper's distributed CG.
+  operators. Ranks keep Jacobi-PCG while the serial run solves
+  directly: each iteration's group sum is the reduction the `CommLedger`
+  prices for the paper's distributed CG.
 
 Resilience routes through the same object (`exclude_rank` rebuilds the
 partition; `swap_node` replaces one rank's node backend after a sticky
@@ -34,13 +34,19 @@ Two rank-stepping modes share this contract (`rank_step`):
   Python-level partial per rank. Exact but O(P) Python work per force
   evaluation; the mode hybrid nodes use (their pricing is per-call).
 - **vectorized** — all ranks' interface zones evaluated in one
-  rank-major `compute_local` call (ditto interior), per-rank interface
-  partials accumulated by `np.bincount` into a (nranks, n_iface, dim)
-  stack and exchanged through one `iallreduce_sum_stacked`, per-rank dt
-  minima by `np.minimum.at` + `iallreduce_min_batch`, and the momentum
-  matvec as one global CSR apply with per-rank interface partials from
-  the interface-zone mass blocks. Collective count, payload sizes and
-  therefore the priced `CommLedger` are identical to loop mode, and the
+  rank-major `compute_local` call (ditto interior) — on a fused engine
+  the serial hot path's planned contractions over two cached zone-subset
+  workspaces, so a rank step runs at serial-kernel speed — per-rank
+  interface partials accumulated by `np.bincount` into a (nranks,
+  n_iface, dim) stack and exchanged through one
+  `iallreduce_sum_stacked`, per-rank dt minima (from the per-zone minima
+  `compute_local` returns) by `np.minimum.at` + `iallreduce_min_batch`,
+  and the momentum matvec as one element-block apply: every zone's mass
+  block against its gathered dofs, then one `np.bincount` over a slot
+  map that fills the private-dof rows and the (nranks, n_iface)
+  per-rank interface partials together, exchanged through one stacked
+  collective. Collective count, payload sizes and therefore the priced
+  `CommLedger` are identical to loop mode, and the force phase's
   accumulation orders are arranged to match loop mode's — the force
   phase is bit-compatible, the momentum operator agrees to FP
   reordering. This is what lets the functional layer step O(100-1000)
@@ -61,6 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.fem.assembly import zone_mass_blocks
 from repro.hydro.corner_force import ForceResult
 from repro.hydro.momentum import PCGMomentumSolver
 from repro.linalg.csr import CSRMatrix
@@ -108,8 +115,8 @@ class _RankData:
     """One simulated rank: its zones, mass share and node backend.
 
     In vectorized mode `mass_local` is None (the momentum operator works
-    from the global matrix plus the interface-zone blocks in `_VecPlan`)
-    and every rank shares the primary node backend.
+    from the zone mass blocks and the slot map in `_VecPlan`) and every
+    rank shares the primary node backend.
     """
 
     zones: np.ndarray
@@ -128,9 +135,12 @@ class _VecPlan:
     per phase covers every rank, and per-dof accumulation order matches
     the per-rank loop). `scat_idx` maps each (zone-dof) entry that lands
     on an interface dof to its flat (rank, iface-position) slot;
-    `scat_src` selects the matching rows of the zone-local RHS. The
-    interface-zone mass blocks power the momentum matvec's per-rank
-    interface partials without per-rank CSR matrices.
+    `scat_src` selects the matching rows of the zone-local RHS.
+    `mv_slot` is the momentum matvec's accumulation map over every
+    (zone, local dof) entry: a private dof's own row in [0, ndof), or
+    slot ndof + rank * n_iface + iface-position for a shared dof, so one
+    `np.bincount` yields the private rows and the per-rank interface
+    partials without per-rank CSR matrices.
     """
 
     ifz: np.ndarray        # interface zones, rank-major concat
@@ -142,40 +152,44 @@ class _VecPlan:
     scat_idx: np.ndarray   # flat rank * n_iface + iface_pos, masked entries
     scat_src: np.ndarray   # rows into (n_ifz * ndof_per_zone) flattened arrays
     ldof_ifz: np.ndarray   # (n_ifz, ndof_per_zone) dof map of interface zones
-    mass_blocks: np.ndarray  # (n_ifz, ndz, ndz) interface-zone mass blocks
+    mv_slot: np.ndarray    # (nzones * ndof_per_zone,) matvec accumulation slots
 
 
 class VectorizedDistributedMomentumSolver(PCGMomentumSolver):
     """Momentum PCG for the vectorized rank-stepping mode.
 
-    The operator applies the *global* mass matrix once (exact at private
-    dofs, where a single rank owns every contribution), then replaces
-    the interface-dof rows with a genuine sum of per-rank partials —
-    each rank's contribution contracted from its interface-zone mass
-    blocks and exchanged through one stacked collective priced at the
-    loop mode's payload (a full (ndof,) vector per rank), so the
-    `CommLedger` agrees between modes.
+    The operator is an element-block (partial-assembly) apply: every
+    zone's mass block against its gathered dofs in one `einsum`, then
+    one `np.bincount` over the plan's slot map. Private-dof rows are
+    exact there (a single rank owns every contribution); the stacked
+    per-rank interface partials are summed by one collective priced at
+    the loop mode's payload (a full (ndof,) vector per rank), so the
+    `CommLedger` agrees between modes, and their sum replaces the
+    interface rows. `blocks` and `ldof` are the partition-independent
+    (nzones, ndz, ndz) zone mass blocks and dof map; only the plan's
+    slot map depends on the partition.
     """
 
-    def __init__(self, mass, bc, plan, nranks, comm, tol=1e-14, maxiter=None):
+    def __init__(self, mass, bc, blocks, ldof, plan, nranks, comm, tol=1e-14, maxiter=None):
         super().__init__(mass, bc, tol=tol, maxiter=maxiter)
+        self.blocks = blocks
+        self.ldof = ldof
         self.plan = plan
         self.nranks = nranks
         self.comm = comm
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        y = self.mass.matvec(x)
         p = self.plan
-        contrib = np.einsum(
-            "zij,zj->zi", p.mass_blocks, x[p.ldof_ifz], optimize=True
-        ).ravel()
-        stacked = np.bincount(
-            p.scat_idx, weights=contrib[p.scat_src],
-            minlength=self.nranks * p.n_iface,
-        ).reshape(self.nranks, p.n_iface)
+        ndof = x.size
+        yz = np.einsum("zij,zj->zi", self.blocks, x[self.ldof])
+        acc = np.bincount(
+            p.mv_slot, weights=yz.ravel(), minlength=ndof + self.nranks * p.n_iface
+        )
+        stacked = acc[ndof:].reshape(self.nranks, p.n_iface)
         iface_sum = self.comm.wait(
             self.comm.iallreduce_sum_stacked(stacked, nbytes_each=x.nbytes)
         )
+        y = acc[:ndof]
         y[p.iface_dofs] = iface_sum
         return y
 
@@ -309,6 +323,7 @@ class DistributedBackend:
         self._iface_dofs: np.ndarray | None = None
         self._vectorized = False
         self._vec_plan: _VecPlan | None = None
+        self._mass_blocks: np.ndarray | None = None
         self._schedule_fired: set[int] = set()
         #: (step, nranks, reason) transitions, surfaced in the manifest.
         self.rank_history: list[dict] = []
@@ -331,11 +346,17 @@ class DistributedBackend:
 
         Needs the solver's mass matrices, boundary conditions and
         integrator, so it runs as the solver's last construction step:
-        partition, communicator, dof groups, rank-local mass shares,
-        per-rank node backends, and the distributed momentum solver
-        (installed on the solver *and* its integrator).
+        partition, communicator, dof groups, zone mass blocks, rank-local
+        mass shares, per-rank node backends, and the distributed momentum
+        solver (installed on the solver *and* its integrator).
         """
         mesh = solver.problem.mesh
+        # The zone mass blocks of M_V, assembled exactly like the global
+        # matrix: partition-independent, so built once per solver.
+        self._mass_blocks = zone_mass_blocks(
+            solver.kinematic.element.tabulate(solver.quad.points),
+            solver.quad, solver._rho0_qp, solver._geometry0.det,
+        )
         zone_rank = self._zone_rank_init
         if zone_rank is None:
             from repro.fem.partition import partition_rcb
@@ -371,6 +392,8 @@ class DistributedBackend:
             self.momentum = VectorizedDistributedMomentumSolver(
                 solver.mass_v,
                 solver.bc,
+                self._mass_blocks,
+                solver.kinematic.ldof,
                 self._vec_plan,
                 self.nranks,
                 self.comm,
@@ -390,14 +413,18 @@ class DistributedBackend:
 
     def _build_partition(self, solver) -> None:
         """(Re)build everything derived from the zone -> rank map."""
+        if self.ranks:
+            # The old partition's zone sets are dead: hand their
+            # `compute_local` workspaces back to the arena.
+            self.engine.release_subsets()
         self.groups = build_dof_groups(solver.kinematic, self.zone_rank)
         self._iface_dofs = interface_dofs(self.groups)
         splits = split_interface_zones(solver.kinematic, self.zone_rank, self.groups)
         if self._vectorized:
             # One shared node evaluates every rank's zones in two
             # rank-major batches; per-rank CSR shares are not built (the
-            # momentum operator works from the global matrix + the
-            # interface-zone blocks in the plan).
+            # momentum operator works from the zone mass blocks + the
+            # plan's slot map).
             nodes = [self.node0] * self.nranks
             masses = [None] * self.nranks
         else:
@@ -444,19 +471,12 @@ class DistributedBackend:
         mask = (posz >= 0).ravel()
         scat_src = np.flatnonzero(mask)
         scat_idx = (ifz_rank[:, None] * n_iface + posz).ravel()[scat_src]
-        # Interface-zone mass blocks (same assembly as `_rank_mass`,
-        # restricted to the zones whose contributions cross ranks).
-        basis = kin.element.tabulate(solver.quad.points)
-        if ifz.size:
-            geo = self.engine.geom_eval.evaluate_local(
-                kin.gather(kin.node_coords)[ifz]
-            )
-            rho = self.engine.mass_qp[ifz] / geo.det
-            w = solver.quad.weights[None, :] * rho * geo.det
-            blocks = np.einsum("zk,ki,kj->zij", w, basis, basis, optimize=True)
-        else:
-            ndz = kin.ndof_per_zone
-            blocks = np.zeros((0, ndz, ndz))
+        pos_all = pos[kin.ldof]  # (nzones, ndz)
+        mv_slot = np.where(
+            pos_all >= 0,
+            kin.ndof + self.zone_rank[:, None] * n_iface + pos_all,
+            kin.ldof,
+        ).ravel()
         return _VecPlan(
             ifz=ifz,
             inz=inz,
@@ -467,7 +487,7 @@ class DistributedBackend:
             scat_idx=scat_idx,
             scat_src=scat_src,
             ldof_ifz=ldof_ifz,
-            mass_blocks=blocks,
+            mv_slot=mv_slot,
         )
 
     def _make_nodes(self, solver) -> list:
@@ -484,13 +504,7 @@ class DistributedBackend:
     def _rank_mass(self, solver, rank: int) -> CSRMatrix:
         """Assemble the rank-local share of the kinematic mass matrix."""
         zones = np.flatnonzero(self.zone_rank == rank)
-        basis = solver.kinematic.element.tabulate(solver.quad.points)
-        geo = self.engine.geom_eval.evaluate_local(
-            solver.kinematic.gather(solver.kinematic.node_coords)[zones]
-        )
-        rho = self.engine.mass_qp[zones] / geo.det  # = rho0 on the initial mesh
-        w = solver.quad.weights[None, :] * rho * geo.det
-        blocks = np.einsum("zk,ki,kj->zij", w, basis, basis, optimize=True)
+        blocks = self._mass_blocks[zones]
         ldof = solver.kinematic.ldof[zones]
         ndz = solver.kinematic.ndof_per_zone
         rows = np.repeat(ldof, ndz, axis=1).ravel()
@@ -590,15 +604,9 @@ class DistributedBackend:
         # scalar min-allreduces (pricing: one reduction, as in loop mode).
         per_rank_dt = np.full(self.nranks, np.inf)
         if plan.ifz.size:
-            np.minimum.at(
-                per_rank_dt, plan.ifz_rank,
-                self.engine.estimate_dt_zones(res_if.points, res_if.geometry),
-            )
+            np.minimum.at(per_rank_dt, plan.ifz_rank, res_if.dt_zones)
         if plan.inz.size:
-            np.minimum.at(
-                per_rank_dt, plan.inz_rank,
-                self.engine.estimate_dt_zones(res_in.points, res_in.geometry),
-            )
+            np.minimum.at(per_rank_dt, plan.inz_rank, res_in.dt_zones)
         dt_req = comm.iallreduce_min_batch(per_rank_dt)
 
         Fz = np.empty(
@@ -892,6 +900,8 @@ class DistributedBackend:
                 r.node.close()
         if self.node0 is not None:
             self.node0.close()
+        if self.engine is not None:
+            self.engine.release_subsets()
 
     def describe(self) -> dict:
         out = {

@@ -102,6 +102,19 @@ class ForceResult:
     dt_est: float
     valid: bool = True
     Az: np.ndarray | None = field(default=None, repr=False)
+    #: per-zone CFL minima (zone-subset evaluations only); dt_est is their min.
+    dt_zones: np.ndarray | None = field(default=None, repr=False)
+
+
+@dataclass
+class _ZoneSubset:
+    """One zone set's cached state for the fused `compute_local`."""
+
+    ws: Workspace
+    zones: np.ndarray    # (n,) zone ids
+    ldof: np.ndarray     # (n, ndz) H1 dof map rows
+    mass_qp: np.ndarray  # (n, nqp) conserved pointwise mass rows
+    eos: object          # the EOS, sliced to the subset when per-zone
 
 
 class ForceEngine:
@@ -177,11 +190,9 @@ class ForceEngine:
         self._geo_cache: list[tuple[object, GeometryAtPoints] | None] = [None, None]
         self._geo_mru = 0
         self._fz_slot = 0
-        # Per-span workspaces / sliced EOS for `compute_fused_span`,
-        # keyed by (lo, hi) so repeated evaluations of the same zone
-        # span are allocation-free after the first call.
-        self._span_ws: dict[tuple[int, int], Workspace] = {}
-        self._span_eos: dict[tuple[int, int], object] = {}
+        # `compute_local`'s per-zone-set buffers and slices, keyed by the
+        # zone ids' bytes (see `_zone_subset`).
+        self._subsets: dict[bytes, _ZoneSubset] = {}
         # Contraction paths planned once for the fixed batch shapes
         # (np.broadcast_to gives shape-only stand-ins, no memory).
 
@@ -338,8 +349,9 @@ class ForceEngine:
     def estimate_dt_zones(self, points: PointData, geo: GeometryAtPoints) -> np.ndarray:
         """Per-zone CFL minima, (nzones,).
 
-        The vectorized rank layer reduces these over a rank axis to get
-        every simulated rank's local dt in one pass; min is exactly
+        `compute_local` returns these as `ForceResult.dt_zones`; the
+        vectorized rank layer reduces them over a rank axis to get every
+        simulated rank's local dt in one pass. min is exactly
         associative, so the global min over rank minima is bitwise the
         same float `estimate_dt` returns.
         """
@@ -348,22 +360,71 @@ class ForceEngine:
     def compute_local(self, state: HydroState, zone_ids: np.ndarray) -> ForceResult:
         """Corner-force evaluation restricted to a zone subset.
 
-        The rank-local computation of the paper's MPI layer: every
-        quantity is per-zone independent, so a rank evaluates exactly
-        its own zones' F_z (returned with leading dimension
-        len(zone_ids)) plus the *local* dt estimate that feeds the
-        global min reduction.
+        The rank-local computation of the paper's MPI layer (and the
+        chunk evaluation of the zone-parallel executor): every quantity
+        is per-zone independent, so a subset evaluates exactly its own
+        zones' F_z (returned with leading dimension len(zone_ids)), the
+        per-zone CFL minima (`dt_zones`) and their minimum (`dt_est`),
+        which feeds the global min reduction.
+
+        On a fused engine this is `_compute_fused`'s arithmetic over the
+        same construction-time plans, applied to the subset's rows: each
+        distinct zone set keeps a cached `_ZoneSubset` (a private
+        `Workspace` on the engine's arena plus its dof map, pointwise
+        mass and EOS slices), so repeated evaluations of one set are
+        allocation-free. Every contraction reduces within a zone, so a
+        fixed partition always produces the same bits and the trivial
+        set (all zones, in order) is bitwise `compute`; other subsets
+        agree with the full-batch rows to the final contraction's BLAS
+        blocking (~1e-18 absolute), far inside the 1e-13 parity budget.
+        The returned arrays are owned by the subset's workspace and are
+        recycled by the next evaluation of the same set. `fused=False`
+        keeps the staged allocate-per-call arithmetic.
         """
         zone_ids = np.asarray(zone_ids, dtype=np.int64)
+        nloc = zone_ids.size
+        _, ndz, dim, ndl2 = self._fz_shape
+        if nloc == 0:
+            geo = GeometryAtPoints(np.zeros((0, self.quad.nqp, dim, dim)))
+            return ForceResult(
+                np.zeros((0, ndz, dim, ndl2)), geo, None, 0.0, dt_zones=np.zeros(0)
+            )
+        if not self.fused:
+            return self._compute_local_legacy(state, zone_ids)
+        sub = self._zone_subset(zone_ids)
+        ws = sub.ws
+        nqp = self.quad.nqp
+        xz = ws.get("xz", (nloc, ndz, dim))
+        np.take(state.x, sub.ldof, axis=0, out=xz)
+        geo = self.geom_eval.evaluate_local(
+            xz,
+            jac_out=ws.get("jac", (nloc, nqp, dim, dim)),
+            det_out=ws.get("det", (nloc, nqp)),
+            adj_out=ws.get("adj", (nloc, nqp, dim, dim)),
+        )
+        if not geo.check_valid():
+            return ForceResult(
+                np.zeros((nloc, ndz, dim, ndl2)), geo, None, 0.0, valid=False
+            )
+        inv = ws.get("inv", (nloc, nqp, dim, dim))
+        np.divide(geo.adj, geo.det[..., None, None], out=inv)
+        geo.set_inv(inv)
+        ez = ws.get("ez", (nloc, ndl2))
+        np.take(self.thermodynamic.gather(state.e), sub.zones, axis=0, out=ez)
+        points = self._fused_stress(state.v, geo, ws, sub.ldof, sub.mass_qp, ez, sub.eos)
+        Fz = ws.get("Fz", (nloc, ndz, dim, ndl2))
+        self._contract_fz(points.sigma, geo.adj, ws, Fz)
+        dt_zones = self.estimate_dt_zones(points, geo)
+        return ForceResult(Fz, geo, points, float(dt_zones.min()), dt_zones=dt_zones)
+
+    def _compute_local_legacy(self, state: HydroState, zone_ids: np.ndarray) -> ForceResult:
+        """Staged allocate-per-call subset evaluation (`fused=False`)."""
         xz = self.kinematic.gather(state.x)[zone_ids]
         geo = self.geom_eval.evaluate_local(xz)
-        nloc = zone_ids.size
-        if nloc == 0 or not geo.check_valid():
-            empty = np.zeros(
-                (nloc, self.kinematic.ndof_per_zone, self.kinematic.dim,
-                 self.thermodynamic.ndof_per_zone)
-            )
-            return ForceResult(empty, geo, None, 0.0, valid=nloc == 0)
+        if not geo.check_valid():
+            _, ndz, dim, ndl2 = self._fz_shape
+            empty = np.zeros((zone_ids.size, ndz, dim, ndl2))
+            return ForceResult(empty, geo, None, 0.0, valid=False)
         vz = self.kinematic.gather(state.v)[zone_ids]
         ez = self.thermodynamic.gather(state.e)[zone_ids]
         rho = self.mass_qp[zone_ids] / geo.det
@@ -384,8 +445,8 @@ class ForceEngine:
         points = PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
         Az = self.assemble_Az(points, geo)
         Fz = self.assemble_Fz(Az)
-        dt_est = self.estimate_dt(points, geo)
-        return ForceResult(Fz, geo, points, dt_est, valid=True)
+        dt_zones = self.estimate_dt_zones(points, geo)
+        return ForceResult(Fz, geo, points, float(dt_zones.min()), dt_zones=dt_zones)
 
     def _eos_for_zones(self, zone_ids: np.ndarray):
         """Slice a per-zone-gamma EOS down to a zone subset."""
@@ -395,100 +456,47 @@ class ForceEngine:
         g = np.asarray(gamma).reshape(self.kinematic.mesh.nzones, -1)
         return type(self.eos)(g[zone_ids])
 
-    def _eos_for_span(self, lo: int, hi: int):
-        """Span-sliced view of a per-zone-gamma EOS, cached per span."""
-        gamma = getattr(self.eos, "gamma", None)
-        if gamma is None or np.ndim(gamma) == 0:
-            return self.eos
-        eos = self._span_eos.get((lo, hi))
-        if eos is None:
-            g = np.asarray(gamma).reshape(self.kinematic.mesh.nzones, -1)
-            eos = self._span_eos[(lo, hi)] = type(self.eos)(g[lo:hi])
-        return eos
-
-    def prepare_spans(self, spans) -> None:
-        """Pre-create span workspaces on the shared arena.
-
-        Called by the zone-parallel executor *before* forking workers, so
-        every span's buffers are leased (and cache-warmed) in the parent
-        and the children inherit them copy-on-write instead of each
-        paying first-call allocation.
-        """
-        for lo, hi in spans:
-            if (lo, hi) not in self._span_ws:
-                self._span_ws[(lo, hi)] = Workspace(arena=self.workspace.arena)
-
-    def compute_fused_span(self, state: HydroState, lo: int, hi: int) -> ForceResult:
-        """Fused evaluation restricted to the contiguous zone span [lo, hi).
-
-        The per-zone arithmetic is exactly `_compute_fused`'s: the same
-        contractions over the same construction-time plans, applied to a
-        row slice of each batched operand. Every contraction
-        reduces within a zone (never across zones), so the result is
-        *schedule-deterministic*: a fixed partition of the mesh into
-        spans always produces the same bits, no matter how the spans are
-        distributed over workers — the invariant the zone-parallel
-        executor's bitwise tests rest on. The trivial span (0, nzones)
-        is bitwise identical to `compute`. Sub-spans agree with the
-        full-batch rows to the final contraction's BLAS blocking (the
-        batch extent steers dgemm's accumulation order), in practice a
-        ~1e-18 absolute reordering — far inside the engine's 1e-13
-        parity budget.
-
-        Each distinct span keeps a private `Workspace`, so steady-state
-        evaluations allocate nothing and never thrash the full-batch
-        buffers.
-        """
-        nz, ndz, dim, ndl2 = self._fz_shape
-        if not (0 <= lo <= hi <= nz):
-            raise ValueError(f"span [{lo}, {hi}) out of range for {nz} zones")
-        nspan = hi - lo
-        if nspan == 0:
-            geo = GeometryAtPoints(np.zeros((0, self.quad.nqp, dim, dim)))
-            return ForceResult(np.zeros((0, ndz, dim, ndl2)), geo, None, 0.0, valid=True)
-        ws = self._span_ws.get((lo, hi))
-        if ws is None:
-            ws = self._span_ws[(lo, hi)] = Workspace(arena=self.workspace.arena)
-        nqp = self.quad.nqp
-        xz = ws.get("xz", (nspan, ndz, dim))
-        np.take(state.x, self._ldof[lo:hi], axis=0, out=xz)
-        jac = ws.get("jac", (nspan, nqp, dim, dim))
-        np.einsum("zid,kie->zkde", xz, self.grad_table, out=jac, optimize=self._path_jac)
-        det = ws.get("det", (nspan, nqp))
-        batched_det(jac, out=det)
-        adj = ws.get("adj", (nspan, nqp, dim, dim))
-        batched_adjugate(jac, out=adj)
-        geo = GeometryAtPoints(jac, det=det, adj=adj)
-        if not geo.check_valid():
-            return ForceResult(
-                np.zeros((nspan, ndz, dim, ndl2)), geo, None, 0.0, valid=False
+    def _zone_subset(self, zone_ids: np.ndarray) -> _ZoneSubset:
+        """The cached `_ZoneSubset` of a zone set (created on first use)."""
+        key = zone_ids.tobytes()
+        sub = self._subsets.get(key)
+        if sub is None:
+            nz = self._fz_shape[0]
+            if zone_ids.min() < 0 or zone_ids.max() >= nz:
+                raise ValueError(f"zone ids out of range for {nz} zones")
+            sub = self._subsets[key] = _ZoneSubset(
+                ws=Workspace(arena=self.workspace.arena),
+                zones=zone_ids.copy(),
+                ldof=np.ascontiguousarray(self._ldof[zone_ids]),
+                mass_qp=np.ascontiguousarray(self.mass_qp[zone_ids]),
+                eos=self._eos_for_zones(zone_ids),
             )
-        inv = ws.get("inv", (nspan, nqp, dim, dim))
-        np.divide(adj, det[..., None, None], out=inv)
-        geo.set_inv(inv)
-        rho = ws.get("rho", (nspan, nqp))
-        np.divide(self.mass_qp[lo:hi], det, out=rho)
-        ez = self.thermodynamic.gather(state.e)[lo:hi]
-        e_qp = ws.get("e_qp", (nspan, nqp))
-        np.matmul(ez, self.basis_l2_T, out=e_qp)
-        eos = self._eos_for_span(lo, hi)
-        p = eos.pressure(rho, e_qp)
-        cs = eos.sound_speed(rho, e_qp)
-        vz = ws.get("vz", (nspan, ndz, dim))
-        np.take(state.v, self._ldof[lo:hi], axis=0, out=vz)
-        grad_v = ws.get("grad_v", (nspan, nqp, dim, dim))
-        np.einsum(
-            "zid,kir,zkre->zkde", vz, self.grad_table, inv,
-            out=grad_v, optimize=self._path_gv,
-        )
-        sigma, mu_max = self._visc_kernel.compute(grad_v, geo, rho, cs, ws)
-        for d in range(dim):
-            sigma[..., d, d] -= p
-        Fz = ws.get("Fz", (nspan, ndz, dim, ndl2))
-        self._contract_fz(sigma, geo.adj, ws, Fz)
-        points = PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
-        dt_est = self.estimate_dt(points, geo)
-        return ForceResult(Fz, geo, points, dt_est, valid=True)
+        return sub
+
+    def prepare_subsets(self, zone_sets) -> None:
+        """Pre-create the `_ZoneSubset` of every zone set in `zone_sets`.
+
+        The zone-parallel executor calls this *before* forking workers,
+        with every chunk's zone ids, so each chunk's workspace (on the
+        shared arena) and its dof-map, mass and EOS slices exist in the
+        parent and the children inherit them copy-on-write.
+        """
+        for zones in zone_sets:
+            zones = np.asarray(zones, dtype=np.int64)
+            if zones.size:
+                self._zone_subset(zones)
+
+    def release_subsets(self) -> None:
+        """Return every subset workspace's leases to the arena.
+
+        Called when the zone sets stop being used: a distributed
+        partition rebuild (rank exclusion, resize, reset) and solver
+        close/retirement. Later `compute_local` calls re-create what
+        they need.
+        """
+        for sub in self._subsets.values():
+            sub.ws.close()
+        self._subsets.clear()
 
     def compute(self, state: HydroState, keep_az: bool = False) -> ForceResult:
         """Full corner-force evaluation at the given state.
@@ -507,7 +515,6 @@ class ForceEngine:
         steady-state allocations; kernels 5/6/7 run as `_contract_fz`.
         """
         ws = self.workspace
-        nz, ndz, dim, ndl2 = self._fz_shape
         tr = self.tracer
         with tr.span(_K_GEOMETRY, category="kernel") if tr else NULL_SPAN:
             geo = self.point_geometry(state.x)
@@ -520,31 +527,44 @@ class ForceEngine:
                 valid=False,
             )
         with tr.span(_K_STRESS, category="kernel") if tr else NULL_SPAN:
-            rho = ws.get("rho", (nz, self.quad.nqp))
-            np.divide(self.mass_qp, geo.det, out=rho)
             ez = self.thermodynamic.gather(state.e)  # reshape view, no copy
-            e_qp = ws.get("e_qp", (nz, self.quad.nqp))
-            np.matmul(ez, self.basis_l2_T, out=e_qp)
-            p = self.eos.pressure(rho, e_qp)
-            cs = self.eos.sound_speed(rho, e_qp)
-            vz = ws.get("vz", (nz, ndz, dim))
-            np.take(state.v, self._ldof, axis=0, out=vz)
-            grad_v = ws.get("grad_v", (nz, self.quad.nqp, dim, dim))
-            np.einsum(
-                "zid,kir,zkre->zkde", vz, self.grad_table, geo.inv,
-                out=grad_v, optimize=self._path_gv,
+            points = self._fused_stress(
+                state.v, geo, ws, self._ldof, self.mass_qp, ez, self.eos
             )
-            sigma, mu_max = self._visc_kernel.compute(grad_v, geo, rho, cs, ws)
-            for d in range(dim):
-                sigma[..., d, d] -= p
         slot = self._fz_slot
         self._fz_slot = 1 - slot
         Fz = ws.get(f"Fz{slot}", self._fz_shape)
         with tr.span(_K_FORCE, category="kernel") if tr else NULL_SPAN:
-            self._contract_fz(sigma, geo.adj, ws, Fz)
-        points = PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
+            self._contract_fz(points.sigma, geo.adj, ws, Fz)
         dt_est = self.estimate_dt(points, geo)
         return ForceResult(Fz, geo, points, dt_est, valid=True)
+
+    def _fused_stress(
+        self, v: np.ndarray, geo: GeometryAtPoints, ws: Workspace,
+        ldof: np.ndarray, mass_qp: np.ndarray, ez: np.ndarray, eos,
+    ) -> PointData:
+        """Kernels 2/4 into `ws`: density, EOS, velocity gradient, tensor
+        viscosity and total stress of the zones whose dof map, pointwise
+        mass and L2 energy rows are `ldof` / `mass_qp` / `ez`."""
+        n, ndz = ldof.shape
+        nqp, dim = self.quad.nqp, self.kinematic.dim
+        rho = ws.get("rho", (n, nqp))
+        np.divide(mass_qp, geo.det, out=rho)
+        e_qp = ws.get("e_qp", (n, nqp))
+        np.matmul(ez, self.basis_l2_T, out=e_qp)
+        p = eos.pressure(rho, e_qp)
+        cs = eos.sound_speed(rho, e_qp)
+        vz = ws.get("vz", (n, ndz, dim))
+        np.take(v, ldof, axis=0, out=vz)
+        grad_v = ws.get("grad_v", (n, nqp, dim, dim))
+        np.einsum(
+            "zid,kir,zkre->zkde", vz, self.grad_table, geo.inv,
+            out=grad_v, optimize=self._path_gv,
+        )
+        sigma, mu_max = self._visc_kernel.compute(grad_v, geo, rho, cs, ws)
+        for d in range(dim):
+            sigma[..., d, d] -= p
+        return PointData(rho, e_qp, p, cs, grad_v, sigma, mu_max)
 
     def _contract_fz(
         self, sigma: np.ndarray, adj: np.ndarray, ws: Workspace, out: np.ndarray

@@ -91,7 +91,7 @@ class LagrangianHydroSolver:
                  tracer=None, backend=None, arena: Arena | None = None):
         self.problem = problem
         # The pool allocator behind every workspace this solver creates
-        # (engine, span workspaces). A shared arena — e.g. the service
+        # (engine, zone-subset workspaces). A shared arena — e.g. the service
         # warm pool's — lets a retired solver's blocks satisfy the next
         # solver's leases even across mesh-size changes.
         self.arena = arena if arena is not None else Arena(name="solver")
@@ -300,8 +300,7 @@ class LagrangianHydroSolver:
         if engine is None:
             return
         engine.workspace.close()
-        for ws in getattr(engine, "_span_ws", {}).values():
-            ws.close()
+        engine.release_subsets()
 
     def swap_backend(self, name: str) -> None:
         """Replace the execution backend mid-run (resilience fallback).
@@ -338,7 +337,8 @@ class LagrangianHydroSolver:
         self.momentum = self.integrator.momentum = momentum
 
     def close(self) -> None:
-        """Shut down the backend (worker pools + shared memory)."""
+        """Shut down the backend (worker pools + shared memory) and return
+        the engine's zone-subset workspaces to the arena."""
         if self.scheduler is not None:
             self.scheduler.finalize()
         if self.backend is not None:
@@ -346,6 +346,8 @@ class LagrangianHydroSolver:
         if self.executor is not None:
             self.executor = None
             self.integrator.force_fn = self.engine.compute
+        if self.engine is not None:
+            self.engine.release_subsets()
 
     def __enter__(self) -> "LagrangianHydroSolver":
         return self

@@ -131,7 +131,7 @@ class ViscosityKernel:
       of inverse + normalize + forward map + second norm;
     * the Jacobian inverse is read from the cached `GeometryAtPoints`
       (computed once per stage) instead of re-derived here;
-    * every intermediate lives in a `Workspace` buffer and the two
+    * every intermediate lives in a `Workspace` buffer and the three
       einsum contraction paths are planned once via `np.einsum_path`.
 
     Results agree with the reference to a few ULPs (different but
@@ -143,6 +143,7 @@ class ViscosityKernel:
         self.coeffs = coeffs
         self.order = max(int(order), 1)
         self._path_ref = "optimal"
+        self._path_norm = "optimal"
         self._path_sigma = "optimal"
 
     def plan(self, nzones: int, nqp: int, dim: int) -> None:
@@ -155,6 +156,9 @@ class ViscosityKernel:
         vec = shaped(nzones, nqp, dim)
         self._path_ref = np.einsum_path(
             "zkre,zkec->zkrc", mat, mat, optimize="optimal"
+        )[0]
+        self._path_norm = np.einsum_path(
+            "zkrc,zkrc->zkc", mat, mat, optimize="optimal"
         )[0]
         self._path_sigma = np.einsum_path(
             "zkc,zkc,zkic,zkjc->zkij", vec, vec, mat, mat, optimize="optimal"
@@ -195,7 +199,7 @@ class ViscosityKernel:
         ref = ws.get("visc.ref", grad_v.shape)
         np.einsum("zkre,zkec->zkrc", geo.inv, vecs, out=ref, optimize=self._path_ref)
         lengths = ws.get("visc.len", lam.shape)
-        np.einsum("zkrc,zkrc->zkc", ref, ref, out=lengths, optimize=True)
+        np.einsum("zkrc,zkrc->zkc", ref, ref, out=lengths, optimize=self._path_norm)
         np.sqrt(lengths, out=lengths)
         np.maximum(lengths, 1e-300, out=lengths)
         np.reciprocal(lengths, out=lengths)

@@ -37,6 +37,9 @@ class CSRMatrix:
             raise ValueError("indptr must be non-decreasing")
         if self.data.size and (self.indices.min() < 0 or self.indices.max() >= self.shape[1]):
             raise ValueError("column index out of range")
+        # Row structure for `matvec`'s segmented sum, fixed at construction.
+        self._row_has = np.diff(self.indptr) > 0
+        self._row_starts = self.indptr[:-1][self._row_has]
 
     # -- Construction --------------------------------------------------------
 
@@ -128,10 +131,8 @@ class CSRMatrix:
             raise ValueError(f"x must have shape ({self.ncols},)")
         prod = self.data * x[self.indices]
         y = np.zeros(self.nrows)
-        row_has = np.diff(self.indptr) > 0
         if prod.size:
-            sums = np.add.reduceat(prod, self.indptr[:-1][row_has])
-            y[row_has] = sums
+            y[self._row_has] = np.add.reduceat(prod, self._row_starts)
         return y
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:

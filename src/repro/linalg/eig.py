@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["sym_eig_2x2", "sym_eig_3x3", "sym_eigvals"]
+__all__ = ["eigvals_2x2", "sym_eig_2x2", "sym_eig_3x3", "sym_eigvals"]
 
 
 def _check_sym(a: np.ndarray, d: int) -> np.ndarray:
@@ -24,6 +24,15 @@ def _check_sym(a: np.ndarray, d: int) -> np.ndarray:
     if a.ndim < 2 or a.shape[-2:] != (d, d):
         raise ValueError(f"expected (..., {d}, {d}) matrices")
     return a
+
+
+def eigvals_2x2(a00: np.ndarray, a01: np.ndarray, a11: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., 2) of symmetric 2x2 batches given by
+    their entries (quadratic formula; no eigenvectors are formed)."""
+    mean = 0.5 * (a00 + a11)
+    half_diff = 0.5 * (a00 - a11)
+    radius = np.sqrt(half_diff * half_diff + a01 * a01)
+    return np.stack([mean - radius, mean + radius], axis=-1)
 
 
 def sym_eig_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -36,10 +45,7 @@ def sym_eig_2x2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a00 = a[..., 0, 0]
     a01 = 0.5 * (a[..., 0, 1] + a[..., 1, 0])
     a11 = a[..., 1, 1]
-    mean = 0.5 * (a00 + a11)
-    half_diff = 0.5 * (a00 - a11)
-    radius = np.sqrt(half_diff * half_diff + a01 * a01)
-    w = np.stack([mean - radius, mean + radius], axis=-1)
+    w = eigvals_2x2(a00, a01, a11)
     # Eigenvector for the larger eigenvalue: (a01, w_max - a00) or
     # (w_max - a11, a01); pick the better-conditioned of the two.
     wmax = w[..., 1]
@@ -156,7 +162,7 @@ def sym_eigvals(a: np.ndarray) -> np.ndarray:
         raise ValueError("expected batched square matrices")
     d = a.shape[-1]
     if d == 2:
-        return sym_eig_2x2(a)[0]
+        return eigvals_2x2(a[..., 0, 0], 0.5 * (a[..., 0, 1] + a[..., 1, 0]), a[..., 1, 1])
     if d == 3:
         sym = 0.5 * (a + np.swapaxes(a, -1, -2))
         return _eigvals_3x3(sym)

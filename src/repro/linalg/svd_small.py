@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.linalg.eig import sym_eig_2x2, sym_eig_3x3, sym_eigvals
+from repro.linalg.eig import eigvals_2x2, sym_eig_2x2, sym_eig_3x3, sym_eigvals
 
 __all__ = ["batched_singular_values", "batched_svd"]
 
@@ -29,10 +29,19 @@ def _check(a: np.ndarray) -> np.ndarray:
 
 
 def batched_singular_values(a: np.ndarray) -> np.ndarray:
-    """Ascending singular values of (..., d, d) batches, d in {2, 3}."""
+    """Ascending singular values of (..., d, d) batches, d in {2, 3}.
+
+    In 2D the entries of J^T J are formed elementwise and only its
+    eigenvalues are computed (the CFL estimate's hot path needs one
+    sigma_min per point, not a batched 2x2 matmul plus eigenvectors).
+    """
     a = _check(a)
-    ata = np.swapaxes(a, -1, -2) @ a
-    w = sym_eigvals(ata)
+    if a.shape[-1] == 2:
+        j00, j01 = a[..., 0, 0], a[..., 0, 1]
+        j10, j11 = a[..., 1, 0], a[..., 1, 1]
+        w = eigvals_2x2(j00 * j00 + j10 * j10, j00 * j01 + j10 * j11, j01 * j01 + j11 * j11)
+    else:
+        w = sym_eigvals(np.swapaxes(a, -1, -2) @ a)
     return np.sqrt(np.maximum(w, 0.0))
 
 

@@ -13,9 +13,9 @@ data and never a steady-state allocation.
 
 Partition contract: the default is **one contiguous span per worker**
 (`chunks = workers`), the paper's static OpenMP schedule. With a fused
-engine each span goes through `ForceEngine.compute_fused_span`, and the
-single-worker partition is the full span (0, nzones) — documented
-bitwise-identical to `ForceEngine.compute` — so `workers=1` costs only
+engine each span goes through `ForceEngine.compute_local`'s fused
+zone-subset path, and the single-worker partition is the full span
+(0, nzones) — documented bitwise-identical to `ForceEngine.compute` — so `workers=1` costs only
 the dispatch syscalls over serial and returns serial's exact bits.
 Multi-worker partitions are deterministic for a fixed (nzones, chunks)
 pair; pin `chunks=K` explicitly to make results invariant under the
@@ -74,7 +74,7 @@ class ZoneParallelExecutor:
 
     Lifecycle: `start()` forks the pool (idempotent; `compute` calls it
     lazily), `close()` shuts it down and releases shared memory. The
-    fork happens *after* `prepare_spans` leased every span workspace on
+    fork happens *after* `prepare_subsets` leased every span workspace on
     the arena, so children never allocate on the hot path and the pool
     can serve thousands of evaluations (`stats()` reports how the fork
     amortized).
@@ -142,8 +142,8 @@ class ZoneParallelExecutor:
         # children inherit the arena-backed buffers copy-on-write, so a
         # fused worker never allocates on its hot path and the parent's
         # arena high-water statistic covers the span pool.
-        if engine.fused and hasattr(engine, "prepare_spans"):
-            engine.prepare_spans(self._spans)
+        if engine.fused:
+            engine.prepare_subsets(self.chunk_ids)
 
         self._pool = PersistentWorkerPool(
             workers, self._worker_eval, name="zone-parallel"
@@ -159,17 +159,10 @@ class ZoneParallelExecutor:
         fz = self._fz[slot]
         for ci in self._assignment[wid]:
             lo, hi = self._spans[ci]
-            res = self._compute_chunk(state, ci)
+            res = self.engine.compute_local(state, self.chunk_ids[ci])
             fz[lo:hi] = res.Fz
             self._dt[ci] = res.dt_est
             self._valid[ci] = 1.0 if res.valid else 0.0
-
-    def _compute_chunk(self, state: HydroState, ci: int) -> ForceResult:
-        """One chunk's corner forces: fused span path or legacy subset."""
-        if self.engine.fused:
-            lo, hi = self._spans[ci]
-            return self.engine.compute_fused_span(state, lo, hi)
-        return self.engine.compute_local(state, self.chunk_ids[ci])
 
     # -- parent side --------------------------------------------------------
 
@@ -234,7 +227,7 @@ class ZoneParallelExecutor:
         single span (the default at workers=1), and within span
         slice-invariance otherwise.
         """
-        results = [self._compute_chunk(state, ci) for ci in range(len(self.chunk_ids))]
+        results = [self.engine.compute_local(state, ids) for ids in self.chunk_ids]
         Fz = np.concatenate([r.Fz for r in results], axis=0)
         valid = all(r.valid for r in results)
         dt_est = min((r.dt_est for r in results)) if valid else 0.0

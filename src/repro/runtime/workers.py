@@ -6,7 +6,7 @@ path whose steady-state cost is two tiny `write(2)`/`read(2)` syscalls
 per worker and *zero Python-level allocation*:
 
 - **Fork once.** Workers are forked at `start()`; everything big (the
-  force engine, mesh, arena-backed span workspaces, shared-memory
+  force engine, mesh, arena-backed zone-subset workspaces, shared-memory
   segments) is inherited copy-on-write. Nothing mesh-sized ever crosses
   a pipe.
 - **Pickle-free command channel.** Each worker owns an `os.pipe`; the

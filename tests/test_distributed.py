@@ -321,6 +321,78 @@ class TestVectorizedRankStep:
         assert sum(t["messages"] for t in per_rank.values()) == traffic.messages
 
 
+class TestSubsetHotPath:
+    """The vectorized rank step runs the serial hot path's machinery."""
+
+    PARITY = dict(rtol=1e-13, atol=1e-14)
+
+    @staticmethod
+    def marched_solver(**kw):
+        # A few steps in, so velocity (and the viscosity) is non-trivial.
+        solver = make_solver(**kw)
+        solver.run(t_final=1.0, max_steps=3)
+        return solver
+
+    def test_smoke_fused_compute_local_matches_compute_rows(self):
+        solver = self.marched_solver(nranks=4)
+        engine = solver.engine
+        assert engine.fused
+        full = engine.compute(solver.state)
+        dt_full = engine.estimate_dt_zones(full.points, full.geometry)
+        for rank in solver.backend.ranks:
+            local = engine.compute_local(solver.state, rank.zones)
+            np.testing.assert_allclose(local.Fz, full.Fz[rank.zones], **self.PARITY)
+            np.testing.assert_allclose(local.dt_zones, dt_full[rank.zones], rtol=1e-13)
+            assert local.dt_est == local.dt_zones.min()
+
+    def test_smoke_subset_workspace_is_allocation_free_on_reuse(self):
+        solver = self.marched_solver(nranks=4)
+        zones = solver.backend.ranks[1].zones
+        solver.engine.compute_local(solver.state, zones)
+        allocs = solver.arena.block_allocations
+        solver.engine.compute_local(solver.state, zones)
+        assert solver.arena.block_allocations == allocs
+
+    def test_smoke_vectorized_matvec_matches_global_mass(self, rng):
+        solver = make_solver(nranks=5, rank_step="vectorized")
+        x = rng.standard_normal(solver.kinematic.ndof)
+        y = solver.momentum.matvec(x)
+        ref = solver.mass_v.matvec(x)
+        assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_smoke_matvec_posts_one_reduction_at_loop_payload(self, rng):
+        x = rng.standard_normal(make_solver(nranks=1).kinematic.ndof)
+        deltas = {}
+        for mode in ("loop", "vectorized"):
+            solver = make_solver(nranks=4, rank_step=mode)
+            traffic = solver.backend.comm.traffic
+            before = (traffic.reductions, traffic.messages, traffic.bytes)
+            solver.momentum.matvec(x)
+            after = (traffic.reductions, traffic.messages, traffic.bytes)
+            deltas[mode] = tuple(a - b for a, b in zip(after, before))
+        assert deltas["vectorized"][0] == 1
+        assert deltas["vectorized"] == deltas["loop"]
+
+    def test_smoke_resize_releases_old_subset_workspaces(self):
+        solver = make_solver(nranks=4, zones=6)
+        backend, arena = solver.backend, solver.arena
+
+        def evaluate():
+            solver.integrator.force_fn(solver.state)
+            plan = backend._vec_plan
+            live = {z.tobytes() for z in (plan.ifz, plan.inz) if z.size}
+            assert set(solver.engine._subsets) == live
+            return arena.live_leases
+
+        leases = evaluate()
+        backend.resize_ranks(8)
+        evaluate()
+        backend.resize_ranks(4)
+        assert evaluate() == leases
+        solver.close()
+        assert not solver.engine._subsets
+
+
 class TestStackedCollectives:
     def test_stacked_sum_functional(self, rng):
         comm = SimulatedComm(3)

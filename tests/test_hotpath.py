@@ -85,19 +85,21 @@ class TestEngineParity:
 
     @pytest.mark.parametrize("order", [2, 6])
     def test_fused_span_matches_compute_rows(self, order, rng):
-        """`compute_fused_span` over a 2-span partition reproduces the
+        """Fused `compute_local` over a 2-span partition reproduces the
         rows of `compute` (Q2 on 16 zones takes the pairwise F_z path,
-        Q6 the two-stage GEMM form), and the trivial span is bitwise
-        `compute`."""
+        Q6 the two-stage GEMM form), and the trivial (all-zones) set is
+        bitwise `compute`."""
         fused = make_engines(order, 4, fused_only=True)
         state = random_state(fused.kinematic, fused.thermodynamic, rng)
         full = fused.compute(state)
         nz = fused.kinematic.mesh.nzones
-        spans = [fused.compute_fused_span(state, lo, hi) for lo, hi in ((0, 7), (7, nz))]
+        spans = [
+            fused.compute_local(state, np.arange(lo, hi)) for lo, hi in ((0, 7), (7, nz))
+        ]
         assert all(r.valid for r in spans)
         np.testing.assert_allclose(np.concatenate([r.Fz for r in spans]), full.Fz, **PARITY)
         assert min(r.dt_est for r in spans) == pytest.approx(full.dt_est, rel=1e-13)
-        whole = fused.compute_fused_span(state, 0, nz)
+        whole = fused.compute_local(state, np.arange(nz))
         np.testing.assert_array_equal(whole.Fz, full.Fz)
         assert whole.dt_est == full.dt_est
 
